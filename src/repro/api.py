@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.dp import DEFAULT_DP_ENGINE
 from repro.model.instance import Instance
 from repro.model.problem import problem_of_instance
 from repro.model.qinstance import QInstance
@@ -47,7 +48,7 @@ def solve(
     *,
     eps: float = 0.3,
     ctx: "SolveContext | None" = None,
-    dp_engine: str = "dominance",
+    dp_engine: str = DEFAULT_DP_ENGINE,
     workers: int | str = 4,
     backend: str = "thread",
     mode: str = "wavefront",

@@ -43,7 +43,7 @@ import sys
 import time
 from typing import Sequence
 
-from repro.core.dp import SEQUENTIAL_ENGINES
+from repro.core.dp import DEFAULT_DP_ENGINE, SEQUENTIAL_ENGINES
 from repro.core.ptas import MODES
 from repro.model.instance import Instance
 from repro.model.problem import P_CMAX, Q_CMAX, available_problems, canonical_problem_name
@@ -214,7 +214,7 @@ def _sniff_engine_flag(args: argparse.Namespace) -> None:
         return
     if name in ALGORITHMS:
         args.algorithm = name
-        args.engine = "dominance"
+        args.engine = DEFAULT_DP_ENGINE
 
 
 def _build_trace_context(args: argparse.Namespace, request: SolveRequest):
@@ -790,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         "--dp-engine",
         dest="engine",
-        default="dominance",
+        default=DEFAULT_DP_ENGINE,
         help="sequential DP engine for the PTAS bisection (one of: "
         f"{', '.join(sorted(SEQUENTIAL_ENGINES))})",
     )
@@ -941,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-a", "--algorithm", default="ptas", help="engine name (see 'solve')"
     )
     sub_cmd.add_argument("--eps", type=float, default=0.3)
-    sub_cmd.add_argument("--engine", default="dominance")
+    sub_cmd.add_argument("--engine", default=DEFAULT_DP_ENGINE)
     sub_cmd.add_argument(
         "--workers",
         type=_workers_arg,

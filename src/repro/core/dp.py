@@ -35,12 +35,18 @@ Engines
     pruned (keep only Pareto-maximal vectors ``min(v + s, N)``).  Returns
     exactly the same ``OPT`` (a cover can always be trimmed to an exact
     packing because any sub-multiset of a feasible configuration is
-    feasible).  Usually orders of magnitude faster; this is the engine a
-    practitioner should use, and the ablation benchmarks quantify why.
+    feasible).  Scans fewer configurations than the full sweep, but its
+    pure-Python Pareto pruning grows quadratically with the frontier: on
+    the paper's ``u_100``/``u_10n`` families it is the slowest engine but
+    ``memo``/``frontier`` (``docs/engines.md`` has the measurements).  It
+    stays ahead only on tiny tables, such as the service's small requests.
 ``numpy``
-    Vectorized variant of the level sweep: all states of one
-    anti-diagonal are processed with numpy array operations, one pass per
-    configuration.  Semantically identical to ``table``.
+    Vectorized variant of the level sweep: each anti-diagonal is one
+    fused block of numpy operations (:class:`~repro.core.kernels.LevelKernel`).
+    Semantically identical to ``table``, and the default
+    (:data:`DEFAULT_DP_ENGINE`): on the paper's PTAS panel (eps 0.2,
+    m = 8, n = 40) it solves about 40x more instances per second than
+    ``dominance`` and 16x more than ``table``.
 
 All engines return a :class:`DPResult` and agree with each other — the
 test suite enforces this on randomized inputs.
@@ -649,7 +655,7 @@ def solve_numpy(
 ) -> DPResult:
     """Level-synchronous sweep with numpy: all states of one anti-diagonal
     are updated at once by the shared :class:`~repro.core.kernels.LevelKernel`,
-    one vectorized pass per configuration.
+    one fused ``(states x configurations)`` block per level.
 
     This is the data-parallel formulation of the paper's wavefront: the
     "processors" are SIMD lanes instead of cores, but the dependency
@@ -664,7 +670,7 @@ def solve_numpy(
     kernel = LevelKernel.for_problem(problem, configs)
     table = kernel.allocate_table(sigma)
     kernel.sweep(table, build_level_arrays(problem.dims))
-    # One vectorized pass per configuration over every non-origin state.
+    # Every non-origin state is checked against every configuration.
     scans = len(configs) * (sigma - 1)
     opt_val = table_opt(table, sigma - 1)
     assert opt_val is not None, (
@@ -706,6 +712,10 @@ def _solve_config_ilp_lazy(problem: "DPProblem", **kwargs: object) -> DPResult:
     return solve_config_ilp(problem, **kwargs)  # type: ignore[arg-type]
 
 
+#: DP engine of :func:`solve`, :func:`repro.core.ptas.ptas` and
+#: :func:`repro.solve` when none is named.
+DEFAULT_DP_ENGINE = "numpy"
+
 SEQUENTIAL_ENGINES: dict[str, Callable[..., DPResult]] = {
     "table": solve_table,
     "memo": solve_memo,
@@ -718,7 +728,7 @@ SEQUENTIAL_ENGINES: dict[str, Callable[..., DPResult]] = {
 
 def solve(
     problem: DPProblem,
-    engine: str = "dominance",
+    engine: str = DEFAULT_DP_ENGINE,
     *,
     limit: int | None = None,
     track_schedule: bool = True,

@@ -8,11 +8,14 @@ per-level update: for each state ``v`` of one anti-diagonal, minimize
 module holds the single implementation of that update,
 :class:`LevelKernel`, so the recurrence exists exactly once.
 
-The kernel is data-parallel: it unranks a whole anti-diagonal (or any
-chunk of one) into a ``(q, d)`` matrix of count vectors with two integer
-array ops, then applies one vectorized pass per configuration —
-componentwise bound check, gather of the predecessor entries, minimum.
-All arithmetic is numpy on ``int64`` arrays, which
+The kernel is data-parallel: it treats a whole anti-diagonal (or any
+chunk of one) as one ``(q, |C_l|)`` block of lanes, every state against
+every configuration that fits the level, and runs each step over the
+whole block at once — unrank the states, componentwise bound check,
+gather of the predecessor entries, row minimum.  The step count per
+chunk does not grow with ``|C|``, so small levels pay a handful of numpy
+calls instead of one pass per configuration.  All table arithmetic is
+numpy on ``int64`` arrays, which
 
 * makes the *thread* backend genuinely parallel (numpy releases the GIL
   during array ops, so threads scale like the paper's OpenMP loops
@@ -33,6 +36,7 @@ to the ``None``-based convention of :class:`repro.core.dp.DPResult`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -46,6 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dp imports us)
 #: infeasible predecessor) cannot overflow and still exceeds every real
 #: machine count.
 KERNEL_INFEASIBLE: int = np.iinfo(np.int64).max // 2
+
+#: Lanes (states x configurations) in one fused block of
+#: :meth:`LevelKernel.update`.  Wider chunks are cut into row slices so
+#: the block's temporaries (three int64 lane arrays and a byte mask) stay
+#: under 1 MB whatever the level width; twice the budget ran no faster
+#: on the paper's panel and kept about 1 MB more resident.
+LANE_BUDGET: int = 1 << 15
 
 
 def row_major_strides(dims: Sequence[int]) -> tuple[int, ...]:
@@ -64,23 +75,27 @@ def build_level_arrays(dims: Sequence[int]) -> tuple[np.ndarray, ...]:
     ``l``, ascending — the materialized ``D`` array of Alg. 3 without
     boxing a single Python int.  For an empty ``dims`` the table is the
     single state ``OPT(()) = 0``.
+
+    The arrays are read-only and memoized by ``dims``: the probes of one
+    bisection often round to the same table shape.
     """
-    dims = tuple(int(x) for x in dims)
-    if not dims:
-        return (np.zeros(1, dtype=np.int64),)
-    strides = np.asarray(row_major_strides(dims), dtype=np.int64)
-    dims_arr = np.asarray(dims, dtype=np.int64)
-    sigma = int(np.prod(dims_arr))
-    flat = np.arange(sigma, dtype=np.int64)
-    levels = np.zeros(sigma, dtype=np.int64)
-    for c in range(len(dims)):
-        levels += (flat // strides[c]) % dims_arr[c]
+    return _level_arrays(tuple(map(int, dims)))
+
+
+@lru_cache(maxsize=4)
+def _level_arrays(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    top = sum(dims) - len(dims)
+    dtype = np.int16 if top <= np.iinfo(np.int16).max else np.int64
+    # Level of every flat index in row-major order, one axis at a time.
+    levels = np.zeros(1, dtype=dtype)
+    for dim in dims:
+        levels = (levels[:, None] + np.arange(dim, dtype=dtype)).ravel()
+    # Stable, so each level stays ascending; radix sort for int16 keys.
     order = np.argsort(levels, kind="stable")
-    n_levels = int(levels.max()) + 1
-    bounds = np.searchsorted(levels[order], np.arange(n_levels + 1))
+    order.flags.writeable = False
+    bounds = np.cumsum(np.bincount(levels, minlength=top + 1)).tolist()
     return tuple(
-        np.ascontiguousarray(order[bounds[lvl] : bounds[lvl + 1]])
-        for lvl in range(n_levels)
+        order[lo:hi] for lo, hi in zip([0, *bounds[:-1]], bounds)
     )
 
 
@@ -119,16 +134,31 @@ class LevelKernel:
         self.strides = np.asarray(tuple(strides), dtype=np.int64)
         raw = configs.configs if hasattr(configs, "configs") else tuple(configs)
         d = len(self.dims)
-        if raw:
-            self.cfg_matrix = np.asarray(raw, dtype=np.int64).reshape(len(raw), d)
-        else:
-            self.cfg_matrix = np.zeros((0, d), dtype=np.int64)
+        cfg = np.asarray(raw, dtype=np.int64).reshape(len(raw), d)
+        sums = cfg.sum(axis=1)
+        # Configurations are kept in component-sum order: one whose sum
+        # exceeds a level fits none of its states, so the ones applicable
+        # to a level are a prefix (the minimum does not depend on order).
+        order = np.argsort(sums, kind="stable")
+        self.cfg_matrix = cfg[order]
+        #: Component sum of each configuration, ascending.
+        self.cfg_level_sums = sums[order]
         #: Flat-index offset of each configuration: ``dot(s, strides)``.
         self.offsets = self.cfg_matrix @ self.strides
-        #: Component sum of each configuration — a config can only apply
-        #: to states of an anti-diagonal at or above that level, which
-        #: lets level-aware callers skip whole passes (see :meth:`update`).
-        self.cfg_level_sums = self.cfg_matrix.sum(axis=1)
+        # Bound-check table: row ``axis_base[c] + v`` is a little-endian
+        # bit set of the configurations ``s`` with ``s[c] <= v``, so the
+        # configurations that fit a state are the AND of its d rows — one
+        # gather per state instead of d comparisons per lane.
+        self._axis_base = np.cumsum(self.dims) - self.dims
+        fits = [
+            np.arange(dim)[:, None] >= self.cfg_matrix[:, c]
+            for c, dim in enumerate(self.dims)
+        ]
+        self._fit_bits = np.packbits(
+            np.concatenate(fits) if fits else np.zeros((0, len(raw)), dtype=bool),
+            axis=1,
+            bitorder="little",
+        )
 
     @classmethod
     def for_problem(
@@ -144,25 +174,25 @@ class LevelKernel:
 
     @property
     def num_configs(self) -> int:
-        """``|C|`` — vectorized passes per level."""
+        """``|C|`` — columns of a full (``level=None``) update block."""
         return len(self.offsets)
 
     def allocate_table(self, sigma: int) -> np.ndarray:
         """Fresh ``int64`` table: all-infeasible except ``OPT(0) = 0``."""
-        table = np.full(sigma, KERNEL_INFEASIBLE, dtype=np.int64)
-        table[0] = 0
+        table = np.empty(sigma, dtype=np.int64)
+        self.init_table(table)
         return table
 
     def init_table(self, table: np.ndarray) -> None:
         """Initialize an externally allocated table (e.g. shared memory)
         in place to the all-infeasible / ``OPT(0) = 0`` state."""
-        table[:] = KERNEL_INFEASIBLE
+        table.fill(KERNEL_INFEASIBLE)
         table[0] = 0
 
     def applicable_configs(self, level: int) -> int:
         """``|C_l|`` — configurations whose component sum fits within
-        anti-diagonal ``level`` (the passes a level-aware update runs)."""
-        return int(np.count_nonzero(self.cfg_level_sums <= level))
+        anti-diagonal ``level`` (the columns of a level-aware update)."""
+        return int(np.searchsorted(self.cfg_level_sums, level, side="right"))
 
     def update(
         self,
@@ -179,11 +209,17 @@ class LevelKernel:
         disjoint, so concurrent calls need no locking — the argument that
         makes the paper's OpenMP loop race-free.
 
+        The chunk is one ``(q, |C_l|)`` block of lanes — every state
+        against every applicable configuration — processed in fused
+        numpy passes: componentwise bound check, predecessor gather and
+        row minimum.  Blocks wider than :data:`LANE_BUDGET` lanes are
+        cut into row slices, so temporaries stay bounded.
+
         ``level`` (the chunk's anti-diagonal index, when the caller knows
-        it) prunes configuration passes: a configuration with component
-        sum above the level cannot be ``<=`` any of its states, so its
-        pass is skipped wholesale.  The result is bit-identical — the
-        skipped passes contribute nothing.
+        it) prunes configurations: one with component sum above the
+        level cannot be ``<=`` any of its states, so its column is
+        dropped from the block.  The result is bit-identical — the
+        dropped columns contribute nothing.
 
         With ``count_applicable`` the per-state ``|C_v|`` (configurations
         passing the componentwise bound — what Alg. 3's per-state
@@ -191,30 +227,34 @@ class LevelKernel:
         per-state cost fidelity; otherwise returns ``None``.
         """
         flats = np.ascontiguousarray(flats, dtype=np.int64)
-        counts = np.zeros(len(flats), dtype=np.int64) if count_applicable else None
-        if len(flats) == 0:
+        q = len(flats)
+        counts = np.zeros(q, dtype=np.int64) if count_applicable else None
+        if q == 0:
             return counts
-        if level is None:
-            config_ids = range(len(self.offsets))
-        else:
-            config_ids = np.nonzero(self.cfg_level_sums <= level)[0]
-        # Unrank the whole chunk at once: (q, d) matrix of count vectors.
-        vmat = (flats[:, None] // self.strides[None, :]) % self.dims[None, :]
-        best = np.full(len(flats), KERNEL_INFEASIBLE, dtype=np.int64)
-        for ci in config_ids:
-            mask = vmat >= self.cfg_matrix[ci]
-            mask = mask.all(axis=1)
-            if not mask.any():
-                continue
-            if counts is not None:
-                counts += mask
-            # Gather predecessors; masked-out lanes read index 0 (always
-            # valid) and are discarded by the where().
-            preds = table[np.where(mask, flats - self.offsets[ci], 0)]
-            np.minimum(
-                best, np.where(mask, preds + 1, KERNEL_INFEASIBLE), out=best
-            )
-        np.minimum(best, KERNEL_INFEASIBLE, out=best)
+        k = self.num_configs if level is None else self.applicable_configs(level)
+        best = np.full(q, KERNEL_INFEASIBLE, dtype=np.int64)
+        if k:
+            fit_bits = self._fit_bits[:, : -(-k // 8)]
+            offsets = self.offsets[:k]
+            rows = max(1, LANE_BUDGET // k)
+            for lo in range(0, q, rows):
+                block = flats[lo : lo + rows]
+                # Unrank the rows, then AND one bit-set row per axis.
+                axis_rows = (block[:, None] // self.strides) % self.dims
+                axis_rows += self._axis_base
+                fit = np.bitwise_and.reduce(fit_bits[axis_rows], axis=1)
+                misfit = np.unpackbits(~fit, axis=1, count=k, bitorder="little")
+                # ``flat - offset`` lies in (-sigma, sigma), a valid index
+                # even on misfit lanes; their penalty keeps them at or
+                # above the sentinel, so they never win the minimum.
+                vals = table[block[:, None] - offsets]
+                vals += misfit * np.int64(KERNEL_INFEASIBLE)
+                best[lo : lo + rows] = vals.min(axis=1)
+                if counts is not None:
+                    counts[lo : lo + rows] = k - misfit.sum(axis=1)
+            # One more machine; an infeasible minimum stays infeasible.
+            best += 1
+            np.minimum(best, KERNEL_INFEASIBLE, out=best)
         zero = flats == 0
         if zero.any():
             best[zero] = 0

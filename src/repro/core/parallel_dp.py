@@ -516,10 +516,11 @@ def compute_table(
         if not ctx.tracer.enabled:
             kernel.sweep(table, level_index.levels)
             return table
+        span = ctx.tracer.span  # bound once: per-level cost inside ``dp``
         for level, flats in enumerate(level_index.levels[1:], start=1):
-            with ctx.span("level", level=level, states=len(flats)):
+            with span("level", level=level, states=len(flats)):
                 kernel.update(table, flats, level=level)
-            ctx.count("levels")
+        ctx.count("levels", level_index.num_levels - 1)
         return table
     if backend == "simulated":
         return _run_simulated(

@@ -21,7 +21,7 @@ from typing import Callable
 from repro.core.bisection import BisectionOutcome, bisect_target_makespan
 from repro.core.bounds import makespan_bounds
 from repro.core.context import SolveContext, resolve_context
-from repro.core.dp import DPProblem, DPResult, solve
+from repro.core.dp import DEFAULT_DP_ENGINE, DPProblem, DPResult, solve
 from repro.core.parallel_dp import BACKENDS, EXECUTOR_BACKENDS, parallel_dp
 from repro.core.rounding import accuracy_parameter, round_instance
 from repro.core.speculative import speculative_bisect
@@ -111,7 +111,7 @@ def ptas(
     instance: Instance,
     eps: float,
     *,
-    engine: str = "dominance",
+    engine: str = DEFAULT_DP_ENGINE,
     collect_stats: bool = False,
     guarantee_fix: bool = True,
     ctx: SolveContext | None = None,
@@ -129,8 +129,10 @@ def ptas(
         ``(1 + eps) * OPT``.  The paper's experiments use ``eps = 0.3``.
     engine:
         Sequential DP engine (see :data:`repro.core.dp.SEQUENTIAL_ENGINES`).
-        ``"table"`` is the faithful full-table sweep; the default
-        ``"dominance"`` is the optimized equivalent engine.
+        The default ``"numpy"`` fills the same table as the faithful
+        ``"table"`` sweep with one fused numpy block per anti-diagonal,
+        and is the fastest engine measured on the paper's workload
+        families (``docs/engines.md``).
     guarantee_fix:
         Cap machine configurations at ``k - 1`` long jobs (default).  The
         algorithm *as printed* can exceed ``(1 + eps) OPT`` on integral

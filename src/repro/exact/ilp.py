@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
 
 from repro.model.instance import Instance
 from repro.model.schedule import Schedule
@@ -58,6 +56,11 @@ def ilp_solve(
     >>> ilp_solve(Instance([5, 4, 3, 3, 3], num_machines=2)).makespan
     9
     """
+    # Imported on first use: scipy adds about 48 MB of resident memory and
+    # a third of a second to ``import repro``, and only this engine needs it.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import lil_matrix
+
     n = instance.num_jobs
     m = instance.num_machines
     t = np.asarray(instance.processing_times, dtype=float)

@@ -69,16 +69,53 @@ class Span:
     ``start``/``end`` are :func:`time.perf_counter` seconds (``end`` is
     ``None`` while the span is open); ``attrs`` are the tagged
     attributes; ``children`` are nested spans in open order.
+
+    A span from :meth:`Tracer.span` is its own context manager: entering
+    it attaches it to the tracer's tree and stamps ``start``, leaving it
+    stamps ``end`` and drops the link back to the tracer.
     """
 
-    __slots__ = ("kind", "attrs", "start", "end", "children")
+    __slots__ = ("kind", "attrs", "start", "end", "children", "_tracer", "_profile")
 
-    def __init__(self, kind: str, attrs: dict[str, Any], start: float) -> None:
+    def __init__(
+        self,
+        kind: str,
+        attrs: dict[str, Any],
+        start: float,
+        tracer: "Tracer | None" = None,
+    ) -> None:
         self.kind = kind
         self.attrs = attrs
         self.start = start
         self.end: float | None = None
         self.children: list["Span"] = []
+        self._tracer = tracer
+        self._profile = None
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        stack = tracer._stack
+        if stack:
+            stack[-1].children.append(self)
+        else:
+            tracer.roots.append(self)
+        stack.append(self)
+        profiler = tracer.profiler
+        if profiler is not None and self.kind in profiler.kinds:
+            self._profile = profiler.begin()
+        self.start = tracer.clock()
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        tracer = self._tracer
+        self.end = tracer.clock()
+        if self._profile is not None:
+            tracer.profiler.finish(self._profile, self)
+        stack = tracer._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        self._tracer = None
+        return False
 
     @property
     def duration(self) -> float:
@@ -148,42 +185,6 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class _OpenSpan:
-    """Context manager that opens a :class:`Span` on enter and closes it
-    (restoring the tracer's stack) on exit."""
-
-    __slots__ = ("_tracer", "_span", "_profile")
-
-    def __init__(self, tracer: "Tracer", kind: str, attrs: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._span = Span(kind, attrs, 0.0)
-        self._profile = None
-
-    def __enter__(self) -> Span:
-        tracer = self._tracer
-        span = self._span
-        if tracer._stack:
-            tracer._stack[-1].children.append(span)
-        else:
-            tracer.roots.append(span)
-        tracer._stack.append(span)
-        profiler = tracer.profiler
-        if profiler is not None and span.kind in profiler.kinds:
-            self._profile = profiler.begin()
-        span.start = tracer.clock()
-        return span
-
-    def __exit__(self, *exc: object) -> bool:
-        span = self._span
-        span.end = self._tracer.clock()
-        if self._profile is not None:
-            self._tracer.profiler.finish(self._profile, span)
-        stack = self._tracer._stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        return False
-
-
 class Tracer:
     """Collects a span tree plus counters for one solve.
 
@@ -223,7 +224,7 @@ class Tracer:
         self.counters: dict[str, int] = {}
         self._stack: list[Span] = []
 
-    def span(self, kind: str, **attrs: Any) -> _OpenSpan:
+    def span(self, kind: str, **attrs: Any) -> Span:
         """Open a span of the given kind as a context manager.
 
         The span nests under whichever span is currently open on this
@@ -231,7 +232,7 @@ class Tracer:
         :class:`Span` itself, so late attributes can be attached via
         :meth:`Span.set`.
         """
-        return _OpenSpan(self, kind, attrs)
+        return Span(kind, attrs, 0.0, self)
 
     def count(self, name: str, n: int = 1) -> None:
         """Add *n* to the named counter."""

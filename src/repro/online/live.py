@@ -37,6 +37,7 @@ from typing import Any, Callable, Iterable
 
 from repro.algorithms.lpt import dcs_lpt_bound
 from repro.core.context import SolveContext
+from repro.core.dp import DEFAULT_DP_ENGINE
 from repro.model.instance import Instance
 from repro.model.schedule import Schedule
 from repro.service.cache import ResultCache
@@ -91,7 +92,7 @@ class LiveSchedule:
         *,
         eps: float = 0.2,
         engine: str = "ptas",
-        dp_engine: str = "dominance",
+        dp_engine: str = DEFAULT_DP_ENGINE,
         drift_threshold: float | None = None,
         cache: ResultCache | None = None,
         metrics: Any = None,
@@ -377,7 +378,7 @@ class LiveSchedule:
             int(snapshot["machines"]),
             eps=float(snapshot["eps"]),
             engine=str(snapshot.get("engine", "ptas")),
-            dp_engine=str(snapshot.get("dp_engine", "dominance")),
+            dp_engine=str(snapshot.get("dp_engine", DEFAULT_DP_ENGINE)),
             drift_threshold=None if threshold is None else float(threshold),
             cache=cache,
             metrics=metrics,

@@ -32,6 +32,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.dp import DEFAULT_DP_ENGINE
 from repro.model.verify import verify_schedule
 from repro.online.events import StreamEvent
 from repro.online.live import LiveSchedule
@@ -176,7 +177,7 @@ def run_replay(
     eps: float = 0.2,
     mode: str = "incremental",
     engine: str = "ptas",
-    dp_engine: str = "dominance",
+    dp_engine: str = DEFAULT_DP_ENGINE,
     drift_threshold: float | None = None,
     cache: Any = None,
     metrics: Any = None,

@@ -57,8 +57,9 @@ class KernelCostModel:
     """Affine per-level cost of one :meth:`LevelKernel.update` call.
 
     ``seconds(q) = alpha * |C| + beta * q * |C|`` — ``alpha`` is the
-    fixed cost of one vectorized configuration pass (mask allocation,
-    numpy dispatch), ``beta`` the marginal cost per state per pass.
+    call's fixed cost (numpy dispatch, temporaries) per configuration
+    column of its block, ``beta`` the marginal cost per lane (state x
+    configuration).
     Defaults are conservative laptop-class numbers; :meth:`measure`
     replaces them with two timed updates on the actual kernel.
     """
