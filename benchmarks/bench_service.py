@@ -9,7 +9,8 @@ Replays one seeded mixed workload — a deterministic draw over the
 :mod:`repro.workloads` families with ~25% permuted duplicates, the twin
 pattern real traffic produces — against two server configurations, each
 launched as a real ``repro-pcmax serve`` subprocess and driven over TCP
-with a fixed client concurrency:
+by a fixed number of client connections, each with one request in
+flight:
 
 * ``single`` — the one-process :class:`repro.service.SolveService`
   (solves share the supervisor's GIL);
@@ -17,14 +18,19 @@ with a fixed client concurrency:
   N = :func:`repro.parallel.cpus.usable_cpus` worker processes sharded
   by the canonical instance key.
 
-Every returned schedule is re-verified with
+``single`` is swept over :data:`SWEEP_CONCURRENCY` connections — one
+isolated client, where a request should never wait, up to four times
+the worker count, where requests queue and batches form; ``pool`` runs
+at :data:`CONCURRENCY`.  Every returned schedule is re-verified with
 :func:`repro.model.verify.verify_schedule`; a single unverifiable or
-failed response fails the benchmark.  Requests/sec plus p50/p99 latency
-land under the ``"service_throughput"`` section of ``BENCH_dp.json``
-(one run per ``(mode, workers)`` configuration, fingerprint-stamped via
+failed response fails the benchmark.  Requests/sec, p50/p99 latency and
+the server's mean dispatch batch size land under the
+``"service_throughput"`` section of ``BENCH_dp.json`` (one run per
+``(mode, workers, concurrency)`` configuration, fingerprint-stamped via
 :mod:`repro.io.benchjson`).
 
-Gate: pooled throughput must be ≥ 2x the single-process run — **armed
+Gate: pooled throughput must be ≥ 2x the single-process run at the
+same concurrency — **armed
 only when the host has ≥ 4 usable CPUs**.  On smaller hosts (this
 container exposes one) the pool cannot beat one core by running N
 copies of it, so the gate records a ``skip_reason`` instead of a
@@ -33,7 +39,7 @@ vacuous failure, exactly like the wavefront kernel's measured gate.
 ``--check-baseline`` is the CI tripwire and re-measures nothing (wall
 clock in shared CI is noise): it checks the recorded section is present,
 matches the current workload fingerprint, contains both configurations
-fully verified, and — when the recording host had the gate armed — that
+fully verified (``single`` at every swept concurrency), and — when the recording host had the gate armed — that
 the recorded speedup met the floor.
 """
 
@@ -65,19 +71,22 @@ MIX = (
     ("lpt_adversarial", 3, 16, 0.3),
 )
 SEED = 0
-NUM_REQUESTS = 48
+NUM_REQUESTS = 1000
 #: Every 4th request re-submits an earlier instance with its times
 #: permuted — the canonical-key twins that caching and shard routing
 #: exist for.
 DUPLICATE_EVERY = 4
+#: Client connections of the pool-vs-single comparison.
 CONCURRENCY = 8
+#: Client connections the single-process server is swept over.
+SWEEP_CONCURRENCY = (1, 2, 8, 32)
 #: Pooled throughput floor over single-process, when the gate is armed.
 MIN_SPEEDUP = 2.0
 #: CPUs below which the measured gate records a skip instead.
 GATE_MIN_CPUS = 4
 SECTION = "service_throughput"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dp.json"
-RUN_KEY = ("mode", "workers")
+RUN_KEY = ("mode", "workers", "concurrency")
 REPO_ROOT = OUTPUT.parent
 
 
@@ -119,6 +128,7 @@ def workload_descriptor() -> dict:
         "num_requests": NUM_REQUESTS,
         "duplicate_every": DUPLICATE_EVERY,
         "concurrency": CONCURRENCY,
+        "sweep_concurrency": list(SWEEP_CONCURRENCY),
     }
 
 
@@ -157,7 +167,9 @@ def start_server(mode: str, workers: int) -> tuple[subprocess.Popen, int]:
     return proc, port
 
 
-def run_one(mode: str, workers: int, requests: list[SolveRequest]) -> dict:
+def run_one(
+    mode: str, workers: int, requests: list[SolveRequest], concurrency: int
+) -> dict:
     """Measure one server configuration over the full replay."""
     proc, port = start_server(mode, workers)
     try:
@@ -165,10 +177,11 @@ def run_one(mode: str, workers: int, requests: list[SolveRequest]) -> dict:
         asyncio.run(send_op("127.0.0.1", port, "ping"))
         t0 = time.perf_counter()
         outcomes = asyncio.run(
-            replay("127.0.0.1", port, requests, concurrency=CONCURRENCY)
+            replay("127.0.0.1", port, requests, concurrency=concurrency)
         )
         wall = time.perf_counter() - t0
         health = asyncio.run(send_op("127.0.0.1", port, "healthcheck"))
+        stats = asyncio.run(send_op("127.0.0.1", port, "stats"))["stats"]
         asyncio.run(send_op("127.0.0.1", port, "shutdown"))
         proc.wait(timeout=30)
     finally:
@@ -192,10 +205,12 @@ def run_one(mode: str, workers: int, requests: list[SolveRequest]) -> dict:
         cached += int(result.cached)
         degraded += int(result.degraded)
     latencies.sort()
+    batch_size = stats["histograms"].get("batch_size", {}).get("mean")
     pct = lambda p: latencies[min(len(latencies) - 1, int(p / 100 * len(latencies)))]  # noqa: E731
     return {
         "mode": mode,
         "workers": workers,
+        "concurrency": concurrency,
         "requests": len(requests),
         "verified": verified,
         "cached": cached,
@@ -205,6 +220,7 @@ def run_one(mode: str, workers: int, requests: list[SolveRequest]) -> dict:
         "latency_mean_ms": round(statistics.mean(latencies) * 1e3, 3),
         "latency_p50_ms": round(pct(50) * 1e3, 3),
         "latency_p99_ms": round(pct(99) * 1e3, 3),
+        "batch_size_mean": None if batch_size is None else round(batch_size, 3),
         "healthy": bool(health.get("ok")),
     }
 
@@ -215,23 +231,29 @@ def main() -> int:
     requests = build_workload()
     fingerprint = instance_fingerprint(workload_descriptor())
     print(
-        f"replaying {len(requests)} requests (concurrency {CONCURRENCY}, "
-        f"fingerprint {fingerprint}) on a {cpus}-CPU host"
+        f"replaying {len(requests)} requests (fingerprint {fingerprint}) "
+        f"on a {cpus}-CPU host"
     )
 
+    configs = [("single", 1, c) for c in SWEEP_CONCURRENCY]
+    configs.append(("pool", pool_workers, CONCURRENCY))
     runs = []
-    for mode, workers in (("single", 1), ("pool", pool_workers)):
-        run = run_one(mode, workers, requests)
+    for mode, workers, concurrency in configs:
+        run = run_one(mode, workers, requests, concurrency)
         runs.append(run)
+        batch = run["batch_size_mean"]
         print(
-            f"{mode:6s} w={workers}: {run['rps']:8.1f} req/s  "
+            f"{mode:6s} w={workers} c={concurrency:2d}: {run['rps']:8.1f} req/s  "
             f"p50={run['latency_p50_ms']:.2f}ms p99={run['latency_p99_ms']:.2f}ms  "
+            f"batch={'-' if batch is None else f'{batch:.2f}'}  "
             f"({run['verified']} verified, {run['cached']} cached, "
             f"{run['degraded']} degraded)"
         )
 
-    single_rps = runs[0]["rps"]
-    pool_rps = runs[1]["rps"]
+    single_rps = next(
+        r["rps"] for r in runs if r["mode"] == "single" and r["concurrency"] == CONCURRENCY
+    )
+    pool_rps = runs[-1]["rps"]
     speedup = pool_rps / single_rps if single_rps else 0.0
     gate_active = cpus >= GATE_MIN_CPUS
     skip_reason = None
@@ -289,21 +311,24 @@ def check_baseline() -> int:
             f"{fingerprint} — workload changed, re-run the benchmark"
         )
     runs = {
-        (r.get("mode"), r.get("fingerprint") == fingerprint): r
+        (r.get("mode"), r.get("concurrency")): r
         for r in section.get("runs", [])
+        if r.get("fingerprint") == fingerprint
     }
-    for mode in ("single", "pool"):
-        run = runs.get((mode, True))
+    expected = [("single", c) for c in SWEEP_CONCURRENCY] + [("pool", CONCURRENCY)]
+    for mode, concurrency in expected:
+        name = f"{mode!r} run at concurrency {concurrency}"
+        run = runs.get((mode, concurrency))
         if run is None:
-            failures.append(f"no current-fingerprint {mode!r} run recorded")
+            failures.append(f"no current-fingerprint {name} recorded")
             continue
         if run.get("verified") != run.get("requests"):
             failures.append(
-                f"{mode!r} run: {run.get('verified')}/{run.get('requests')} "
+                f"{name}: {run.get('verified')}/{run.get('requests')} "
                 "schedules verified"
             )
         if not run.get("healthy"):
-            failures.append(f"{mode!r} run: healthcheck was not ok")
+            failures.append(f"{name}: healthcheck was not ok")
     gate = section.get("gate", {})
     if gate.get("gate_active"):
         speedup = section.get("speedup_pool_over_single", 0.0)

@@ -55,9 +55,7 @@ test suite enforces this on randomized inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.configurations import (
     ConfigurationSet,
@@ -65,7 +63,9 @@ from repro.core.configurations import (
     enumerate_maximal_configurations,
 )
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
-from repro.core.kernels import LevelKernel, build_level_arrays, table_opt
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Sentinel for "not computable / unreached" states.
 INFEASIBLE = None
@@ -205,6 +205,8 @@ def unrank(flat: int, dims: Sequence[int], strides: Sequence[int]) -> tuple[int,
 def state_levels_array(problem: DPProblem) -> np.ndarray:
     """Vector of anti-diagonal indices for all ``sigma`` states, in
     row-major order (vectorized Alg. 3, lines 4–8)."""
+    import numpy as np
+
     sigma = problem.table_size
     strides = problem.strides()
     dims = problem.dims
@@ -364,11 +366,20 @@ def solve_table(
 
 def _level_sizes(problem: DPProblem) -> tuple[int, ...]:
     """``q_l`` for every anti-diagonal ``l = 0..n'`` via a small
-    convolution (no need to enumerate states)."""
-    poly = np.ones(1, dtype=np.int64)
+    convolution (no need to enumerate states): multiplying the polynomial
+    by ``1 + x + ... + x^count`` is a sliding-window sum over a prefix
+    sum."""
+    poly = [1]
     for count in problem.counts:
-        poly = np.convolve(poly, np.ones(count + 1, dtype=np.int64))
-    return tuple(int(x) for x in poly)
+        prefix = [0]
+        for x in poly:
+            prefix.append(prefix[-1] + x)
+        top = len(poly)
+        poly = [
+            prefix[min(i + 1, top)] - prefix[max(i - count, 0)]
+            for i in range(top + count)
+        ]
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +673,8 @@ def solve_numpy(
     structure exploited is identical.  The same kernel is the compute
     core of every backend in :mod:`repro.core.parallel_dp`.
     """
+    from repro.core.kernels import LevelKernel, build_level_arrays, table_opt
+
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     if not problem.counts:
         return _empty_result("numpy", collect_stats)

@@ -70,8 +70,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.dp import (
@@ -81,17 +80,16 @@ from repro.core.dp import (
     _enumerate_traced,
     backtrack_schedule,
 )
-from repro.core.kernels import (
-    LevelKernel,
-    build_level_arrays,
-    table_opt,
-)
 from repro.parallel.cpus import usable_cpus
 from repro.parallel.executor import Executor, make_executor
-from repro.parallel.partition import round_robin_partition
-from repro.parallel.runs import KernelCostModel, TilePlan, build_tiles, plan_tiles
 from repro.simcore.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.simcore.machine import SimulatedMachine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.core.kernels import LevelKernel
+    from repro.parallel.runs import KernelCostModel, TilePlan
 
 BACKENDS = ("serial", "numpy-serial", "thread", "process", "simulated")
 
@@ -148,6 +146,8 @@ class LevelIndex:
 
 def build_level_index(problem: DPProblem) -> LevelIndex:
     """Group all ``sigma`` states by anti-diagonal (vectorized)."""
+    from repro.core.kernels import build_level_arrays
+
     return LevelIndex(build_level_arrays(problem.dims))
 
 
@@ -164,6 +164,8 @@ def _plan_for(
     skips the host timing probe entirely — the simulated backend plans
     from the static defaults so its geometry is deterministic (the
     simulator's currency is ops, not host seconds)."""
+    from repro.parallel.runs import KernelCostModel, plan_tiles
+
     cost: KernelCostModel | None = None
     if (
         measured
@@ -204,6 +206,8 @@ def _attach_worker(token, shm_name, sigma, kernel):  # pragma: no cover - worker
     if state is None:
         from multiprocessing import shared_memory
 
+        import numpy as np
+
         for stale in list(_WORKER_STATE):
             _WORKER_STATE.pop(stale)[0].close()
         shm = shared_memory.SharedMemory(name=shm_name)
@@ -217,6 +221,8 @@ def _process_worker_run(payload: tuple) -> None:  # pragma: no cover - workers
     """Run one chunk of one level inside a pool worker (``levels``
     schedule).  ``payload`` is ``(token, shm_name, sigma, kernel, level,
     flats)``."""
+    import numpy as np
+
     token, shm_name, sigma, kernel, level, flats = payload
     _, table, kernel = _attach_worker(token, shm_name, sigma, kernel)
     kernel.update(table, np.asarray(flats, dtype=np.int64), level=level)
@@ -250,6 +256,10 @@ def _run_process_backend(
 ) -> np.ndarray:
     """Fill the table in shared memory with pool workers; returns a copy."""
     from multiprocessing import shared_memory
+
+    import numpy as np
+
+    from repro.parallel.partition import round_robin_partition
 
     sigma = problem.table_size
     shm = shared_memory.SharedMemory(create=True, size=max(sigma * 8, 8))
@@ -319,6 +329,8 @@ def _drive_tiles(
     ships shared-memory coordinates).  Emits one ``run`` span per
     diagonal and per-worker utilization counters at the end.
     """
+    from repro.parallel.runs import build_tiles
+
     if plan is None:
         workers = max(1, min(ex.num_workers, usable_cpus()))
         blocks = workers if workers == 1 else _OVERDECOMPOSE * workers
@@ -371,6 +383,8 @@ def _run_simulated(
 ) -> np.ndarray:
     """Serial fill + deterministic cost accounting, either per level
     (the paper's schedule) or per tile diagonal (the batched one)."""
+    from repro.parallel.runs import build_tiles
+
     sigma = problem.table_size
     model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     sim = machine if machine is not None else SimulatedMachine(
@@ -477,6 +491,9 @@ def compute_table(
     untraced ``numpy-serial`` path keeps the fused
     :meth:`LevelKernel.sweep` fast path.
     """
+    from repro.core.kernels import LevelKernel
+    from repro.parallel.partition import round_robin_partition
+
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
@@ -631,6 +648,8 @@ def parallel_dp(
         Same contract as the sequential engines; ``engine`` is
         ``"parallel-<backend>"``.
     """
+    from repro.core.kernels import LevelKernel, table_opt
+
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
@@ -688,9 +707,7 @@ def parallel_dp(
         raise AssertionError("parallel DP ended infeasible")
     stats = None
     if collect_stats:
-        level_sizes = tuple(
-            len(lv) for lv in build_level_arrays(problem.dims)
-        )
+        level_sizes = build_level_index(problem).sizes
         stats = DPStats(
             sigma=sigma,
             num_levels=len(level_sizes),

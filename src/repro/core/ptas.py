@@ -30,7 +30,6 @@ from repro.model.schedule import Schedule
 from repro.core.reconstruct import build_schedule
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.executor import make_executor
-from repro.parallel.runs import level_sizes_from_dims
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import SimulatedMachine
 
@@ -213,6 +212,8 @@ def _choose_mode(
 ) -> str:
     """Resolve ``mode="auto"``: speculative when the midpoint probe's
     widest anti-diagonal cannot keep ``P`` workers usefully busy."""
+    from repro.parallel.runs import level_sizes_from_dims
+
     if num_workers < 2:
         return "wavefront"
     lb = makespan_bounds(instance).lower

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.model.instance import Instance
 from repro.model.schedule import Schedule
 
@@ -57,7 +55,9 @@ def ilp_solve(
     9
     """
     # Imported on first use: scipy adds about 48 MB of resident memory and
-    # a third of a second to ``import repro``, and only this engine needs it.
+    # a third of a second to ``import repro``, numpy another 12 MB, and
+    # only this engine needs them.
+    import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import lil_matrix
 

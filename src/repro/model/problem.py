@@ -162,6 +162,8 @@ def canonical_problem_name(name: str) -> str:
     """
     if not isinstance(name, str):
         raise UnknownProblemError(str(name))
+    if name in _PROBLEMS:
+        return name
     norm = name.strip().lower().replace("-", "_")
     if norm in _PROBLEMS:
         return norm

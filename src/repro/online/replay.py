@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.core.dp import DEFAULT_DP_ENGINE
 from repro.model.verify import verify_schedule
 from repro.online.events import StreamEvent
@@ -90,6 +88,8 @@ def generate_events(config: ReplayConfig) -> list[StreamEvent]:
     family-drawn pool (cycled if a pinned-size family yields fewer than
     needed).  The first event is always an arrival.
     """
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     pool_size = config.num_events * max(
         config.burst_size, int(config.rate * 3) + 1, 4

@@ -13,6 +13,10 @@ provides the generic machinery:
 * :mod:`repro.parallel.wavefront` — the level-synchronous driver that
   strings partitioning and execution together and exposes per-level hooks
   used for cost accounting.
+
+The package re-exports only the executors: partitioning needs numpy, and
+every solver imports this package for its executors, so the numpy-backed
+helpers are imported from their own modules.
 """
 
 from repro.parallel.executor import (
@@ -22,8 +26,6 @@ from repro.parallel.executor import (
     ThreadExecutor,
     make_executor,
 )
-from repro.parallel.partition import block_partition, round_robin_partition
-from repro.parallel.wavefront import WavefrontRun, run_wavefront
 
 __all__ = [
     "Executor",
@@ -31,8 +33,4 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
-    "round_robin_partition",
-    "block_partition",
-    "run_wavefront",
-    "WavefrontRun",
 ]

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import abc
 import atexit
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 
@@ -166,6 +166,10 @@ class ProcessExecutor(Executor):
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
+        # Imported here: multiprocessing costs every importer of the
+        # solver stack about 1.7 MB resident, and only this backend uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         self.num_workers = num_workers
         self._pool = ProcessPoolExecutor(
             max_workers=num_workers, initializer=initializer, initargs=initargs

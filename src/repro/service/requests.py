@@ -31,6 +31,7 @@ from a socket.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
@@ -75,7 +76,7 @@ STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveRequest:
     """One solve order: an instance plus engine selection and budget.
 
@@ -226,7 +227,7 @@ class SolveRequest:
         return cls.from_dict(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """Outcome of one request (also the unit of the response stream).
 
@@ -299,6 +300,11 @@ class SolveResult:
         if extra:
             raise ValueError(f"unknown result field(s): {sorted(extra)}")
         kwargs = dict(data)
+        # A client keeps every result it reads; one shared copy of the
+        # few distinct status and engine names saves ~100 B on each.
+        for name in ("status", "engine"):
+            if isinstance(kwargs.get(name), str):
+                kwargs[name] = sys.intern(kwargs[name])
         if kwargs.get("assignment") is not None:
             kwargs["assignment"] = tuple(tuple(g) for g in kwargs["assignment"])
         return cls(**kwargs)

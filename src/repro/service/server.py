@@ -5,7 +5,9 @@ Architecture (see ``docs/service.md`` for the full reference)::
     client ──JSON line──▶ connection handler ──▶ SolveService.handle
                                                    │ 1. result cache
                                                    │ 2. admission gate
-                                                   │ 3. micro-batcher (small)
+                                                   │ 3. slot dispatcher (small;
+                                                   │    batches only what queued
+                                                   │    while all slots were busy)
                                                    │    or direct dispatch
                                                    ▼
                                         ThreadPoolExecutor workers
@@ -16,11 +18,14 @@ Architecture (see ``docs/service.md`` for the full reference)::
                                              repro.parallel.executor
 
 Requests are solved off the event loop via ``run_in_executor``; the
-event loop only parses, batches, and enforces deadlines.  *Compatible*
-small requests (same engine and ``eps``, at most ``batch_max_jobs``
-jobs) queued within ``batch_window`` seconds are shipped to one worker
-as a single batch, amortizing executor round-trips under high request
-rates; heavy solves dispatch individually.
+event loop only parses, batches, and enforces deadlines.  Small
+requests (at most ``batch_max_jobs`` jobs, not an exact engine) go out
+the moment an executor slot is free — in the same event-loop turn when
+a worker is idle.  Only what queues while every slot is busy forms
+batches: when a slot frees, the oldest queued request ships together
+with every *compatible* queued request (same problem, engine and
+``eps``), up to ``batch_max_size``, as one executor call.  Nothing ever
+waits on a timer.  Heavy solves dispatch individually.
 
 Graceful degradation: a request with a ``deadline`` gets a deadline hook
 threaded into the PTAS bisection through its per-request
@@ -52,6 +57,7 @@ import inspect
 import json
 import signal
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
@@ -132,7 +138,6 @@ class SolveService:
         admission: AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
         max_workers: int = 4,
-        batch_window: float = 0.005,
         batch_max_size: int = 16,
         batch_max_jobs: int = 64,
         default_deadline: float | None = None,
@@ -143,8 +148,6 @@ class SolveService:
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if batch_max_size < 1:
             raise ValueError("batch_max_size must be >= 1")
         self.cache = cache if cache is not None else ResultCache()
@@ -158,7 +161,6 @@ class SolveService:
         self.admission = admission if admission is not None else AdmissionController()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_workers = max_workers
-        self.batch_window = batch_window
         self.batch_max_size = batch_max_size
         self.batch_max_jobs = batch_max_jobs
         self.default_deadline = default_deadline
@@ -166,8 +168,8 @@ class SolveService:
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-solve"
         )
-        self._batch_queue: asyncio.Queue[_Job] | None = None
-        self._batcher: asyncio.Task[None] | None = None
+        #: Small jobs waiting for a free executor slot, oldest first.
+        self._queued: deque[_Job] = deque()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown_event: asyncio.Event | None = None
         self._busy_workers = 0
@@ -291,10 +293,7 @@ class SolveService:
         # point in between is replayed on restart (docs/persistence.md).
         entry = self.journal.begin(request) if self.journal is not None else None
         try:
-            if self._is_batchable(job):
-                await self._enqueue_batch(job)
-            else:
-                self._dispatch([job])
+            self._submit(job)
             result = await self._await_with_deadline(job)
         finally:
             self.admission.release(decision)
@@ -306,13 +305,10 @@ class SolveService:
         return result
 
     def _is_batchable(self, job: _Job) -> bool:
-        """Small, cancellable-or-instant work rides the micro-batcher;
-        exact engines and big instances get a worker to themselves."""
-        return (
-            self.batch_window > 0
-            and not job.spec.exact
-            and job.request.num_jobs <= self.batch_max_jobs
-        )
+        """Small, cancellable-or-instant work goes through the slot
+        dispatcher; exact engines and big instances get a worker to
+        themselves."""
+        return not job.spec.exact and job.request.num_jobs <= self.batch_max_jobs
 
     async def _await_with_deadline(self, job: _Job) -> SolveResult:
         """Wait for the job; degrade from the event loop if a deadline
@@ -331,40 +327,39 @@ class SolveService:
     # ------------------------------------------------------------------
     # Batching and dispatch
     # ------------------------------------------------------------------
-    async def _enqueue_batch(self, job: _Job) -> None:
+    def _submit(self, job: _Job) -> None:
+        """Dispatch a heavy job now; queue a small one and ship it at
+        once if a slot is free."""
         loop = asyncio.get_running_loop()
-        if self._batch_queue is None or self._loop is not loop:
+        if self._loop is not loop:
             # First use on this event loop (or the loop changed between
-            # asyncio.run() invocations in tests): fresh queue + batcher.
+            # asyncio.run() invocations in tests): nothing queued or in
+            # flight on a dead loop can complete, so forget it.
             self._loop = loop
-            self._batch_queue = asyncio.Queue()
-            self._batcher = loop.create_task(self._batch_loop())
-        await self._batch_queue.put(job)
+            self._queued.clear()
+            self._busy_workers = 0
+        if not self._is_batchable(job):
+            self._dispatch([job])
+            return
+        self._queued.append(job)
+        self._drain()
 
-    async def _batch_loop(self) -> None:
-        """Collect compatible jobs for up to ``batch_window`` seconds,
-        then dispatch each compatibility group as one executor call."""
-        assert self._batch_queue is not None
-        while True:
-            batch = [await self._batch_queue.get()]
-            horizon = self._clock() + self.batch_window
-            while len(batch) < self.batch_max_size:
-                timeout = horizon - self._clock()
-                if timeout <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._batch_queue.get(), timeout)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            groups: dict[tuple[str, str, float], list[_Job]] = {}
-            for job in batch:
-                groups.setdefault(job.batch_key, []).append(job)
-            self.metrics.counter("batches_total").inc(len(groups))
+    def _drain(self) -> None:
+        """Ship queued jobs while executor slots are free: each dispatch
+        takes the oldest queued job plus every compatible job queued
+        behind it, up to ``batch_max_size``, and holds one slot until it
+        completes."""
+        while self._queued and self._busy_workers < self.max_workers:
+            head = self._queued.popleft()
+            batch, rest = [head], deque()
+            while self._queued and len(batch) < self.batch_max_size:
+                job = self._queued.popleft()
+                (batch if job.batch_key == head.batch_key else rest).append(job)
+            rest.extend(self._queued)
+            self._queued = rest
+            self.metrics.counter("batches_total").inc()
             self.metrics.histogram("batch_size").observe(len(batch))
-            for group in groups.values():
-                self._dispatch(group)
+            self._dispatch(batch)
 
     def _dispatch(self, jobs: list[_Job]) -> None:
         """Ship a group of jobs to one worker thread."""
@@ -378,6 +373,7 @@ class SolveService:
         def done(fut: "asyncio.Future[list[SolveResult]]") -> None:
             self._busy_workers -= 1
             self.metrics.gauge("executor_busy").set(self._busy_workers)
+            self._drain()
             if fut.cancelled():
                 for job in jobs:
                     if not job.future.done():
@@ -492,17 +488,11 @@ class SolveService:
             self._shutdown_event.set()
 
     async def aclose(self) -> None:
-        """Stop the batcher, release the worker pool, and flush the
+        """Cancel queued jobs, release the worker pool, and flush the
         persistence layer — a clean exit leaves the journal empty and
         every segment closed."""
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except (asyncio.CancelledError, RuntimeError):
-                pass
-            self._batcher = None
-            self._batch_queue = None
+        while self._queued:
+            self._queued.popleft().future.cancel()
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.journal is not None:
             self.journal.close()

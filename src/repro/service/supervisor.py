@@ -41,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -185,6 +184,8 @@ class SupervisorPool:
         # "spawn" (not fork) on purpose: the supervisor runs an event
         # loop plus IO threads, and forking a threaded process can
         # deadlock the child on inherited lock state.
+        import multiprocessing
+
         self._mp_ctx = multiprocessing.get_context(start_method)
         config = {
             "store_root": store_root,

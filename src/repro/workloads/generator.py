@@ -4,14 +4,13 @@ All randomness flows through :class:`numpy.random.Generator` seeded with
 ``numpy.random.default_rng(seed)``, so every experiment in the harness is
 reproducible from its (family, m, n, seed) coordinates alone.  Seeds for
 the i-th replicate of a batch are derived as ``seed + i`` — simple, and
-stable across library versions.
+stable across library versions.  numpy is imported on the first draw,
+so importing the package (as the service does) does not load it.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
-
-import numpy as np
 
 from repro.model.instance import Instance
 from repro.model.qinstance import QInstance
@@ -37,6 +36,8 @@ def uniform_instance(
         raise ValueError(f"low must be >= 1 (positive integer times), got {low}")
     if high < low:
         raise ValueError(f"high ({high}) must be >= low ({low})")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     times = rng.integers(low, high + 1, size=n)
     return Instance([int(t) for t in times], m)
@@ -86,6 +87,8 @@ def make_qinstance(
         m = len(speeds)
         chosen = [int(s) for s in speeds]
     else:
+        import numpy as np
+
         fam = _speed_family_lookup(speed_family or "u_1_4")
         rng = np.random.default_rng(None if seed is None else seed + 1)
         chosen = fam.draw(m, rng)

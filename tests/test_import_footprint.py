@@ -1,0 +1,84 @@
+"""The service's import footprint: serving the wire-default requests must
+not load numpy or scipy.
+
+``python -m repro serve`` imports :mod:`repro.cli` and
+:mod:`repro.service.server`; the PTAS with the wire-default
+``dominance`` DP and both LPTs are pure Python, so numpy (about 12 MB
+resident) and scipy stay out of the server until a request needs them.
+Each check runs in a fresh interpreter, because the test process itself
+has long since imported both.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.service.registry import solve_to_result
+from repro.service.requests import SolveRequest
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import asyncio, json, sys
+
+import repro.cli
+import repro.service.server
+from repro.service.requests import SolveRequest
+from repro.service.server import SolveService
+
+def loaded():
+    return {name: name in sys.modules for name in ("numpy", "scipy")}
+
+async def main():
+    seen = {"import": loaded()}
+    svc = SolveService(max_workers=1)
+    try:
+        for engine in ("ptas", "lpt"):
+            res = await svc.handle(
+                SolveRequest(times=(9, 8, 7, 6, 5, 5, 4, 3, 2, 1), machines=3, engine=engine)
+            )
+            assert res.ok and not res.degraded, res
+        svc.stats()
+        seen["served"] = loaded()
+        res = await svc.handle(
+            SolveRequest(times=(7, 7, 6, 6, 5, 4, 4, 3), machines=3, engine="ptas", dp_engine="numpy")
+        )
+        assert res.ok and not res.degraded, res
+        seen["numpy_engine"] = loaded()
+        seen["numpy_makespan"] = res.makespan
+    finally:
+        await svc.aclose()
+    print(json.dumps(seen))
+
+asyncio.run(main())
+"""
+
+
+def _run_fresh(script: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_service_serves_default_requests_without_numpy():
+    seen = _run_fresh(SCRIPT)
+    assert seen["import"] == {"numpy": False, "scipy": False}
+    assert seen["served"] == {"numpy": False, "scipy": False}
+    # The numpy DP engine still solves, importing numpy on first use.
+    assert seen["numpy_engine"] == {"numpy": True, "scipy": False}
+    request = SolveRequest(
+        times=(7, 7, 6, 6, 5, 4, 4, 3), machines=3, engine="ptas", dp_engine="numpy"
+    )
+    assert seen["numpy_makespan"] == solve_to_result(request).makespan

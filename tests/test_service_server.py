@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import threading
 
 import pytest
 
@@ -45,7 +46,7 @@ def _req(times, machines=3, engine="lpt", **kwargs) -> SolveRequest:
 class TestHandle:
     def test_solves_and_reports_guarantee(self):
         async def scenario():
-            svc = SolveService(max_workers=2, batch_window=0.0)
+            svc = SolveService(max_workers=2)
             try:
                 res = await svc.handle(
                     _req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas", request_id="x")
@@ -63,7 +64,7 @@ class TestHandle:
 
     def test_unknown_engine_is_clean_error(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(_req([1, 2, 3], engine="nope"))
             finally:
@@ -75,7 +76,7 @@ class TestHandle:
 
     def test_invalid_instance_is_clean_error(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(
                     SolveRequest(times=(), machines=2, engine="lpt")
@@ -88,7 +89,7 @@ class TestHandle:
 
     def test_repeat_request_served_from_cache(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 first = await svc.handle(_req([5, 4, 3, 2, 1], engine="ptas"))
                 second = await svc.handle(_req([5, 4, 3, 2, 1], engine="ptas"))
@@ -104,7 +105,7 @@ class TestHandle:
 
     def test_q_cmax_request_end_to_end(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 res = await svc.handle(
                     SolveRequest(
@@ -134,7 +135,7 @@ class TestHandle:
 
     def test_q_unsupported_engine_pair_is_clean_error(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(
                     SolveRequest(
@@ -155,9 +156,11 @@ class TestHandle:
 
     def test_deadline_degrades_to_lpt(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            # batch_max_jobs above the instance size: the request rides
+            # the slot dispatcher, not the direct heavy-solve path.
+            svc = SolveService(batch_max_jobs=128)
             try:
-                return await svc.handle(
+                res = await svc.handle(
                     _req(
                         range(1, 120),
                         machines=5,
@@ -168,8 +171,10 @@ class TestHandle:
                 )
             finally:
                 await _closed(svc)
+            return res, svc.metrics.counter("batches_total").value
 
-        res = run(scenario())
+        res, batches = run(scenario())
+        assert batches == 1
         assert res.ok and res.degraded
         assert res.engine == "lpt"
         m = 5
@@ -179,21 +184,24 @@ class TestHandle:
 
     def test_degraded_results_are_not_cached(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService(batch_max_jobs=128)
             try:
-                await svc.handle(
+                first = await svc.handle(
                     _req(range(1, 80), engine="ptas", eps=0.1, deadline=0.0)
                 )
-                return await svc.handle(_req(range(1, 80), engine="ptas", eps=0.1))
+                res = await svc.handle(_req(range(1, 80), engine="ptas", eps=0.1))
             finally:
                 await _closed(svc)
+            return first, res, svc.metrics.counter("batches_total").value
 
-        res = run(scenario())
+        first, res, batches = run(scenario())
+        assert batches == 2
+        assert first.degraded
         assert not res.cached and not res.degraded
 
     def test_non_cancellable_engine_degrades_from_event_loop(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(
                     _req([9, 8, 7, 6, 5, 4], engine="bnb", deadline=0.0)
@@ -209,7 +217,7 @@ class TestHandle:
             gate = AdmissionController(max_queue_depth=1)
             # Occupy the only slot so the real request is shed.
             gate.try_admit(_req([1, 2, 3]))
-            svc = SolveService(admission=gate, batch_window=0.0)
+            svc = SolveService(admission=gate)
             try:
                 return await svc.handle(_req([4, 5, 6]))
             finally:
@@ -222,7 +230,7 @@ class TestHandle:
 
     def test_batching_groups_compatible_small_requests(self):
         async def scenario():
-            svc = SolveService(max_workers=2, batch_window=0.05, batch_max_size=8)
+            svc = SolveService(max_workers=2, batch_max_size=8)
             try:
                 reqs = [
                     _req([i + 1, 2 * i + 1, 5, 7], engine="lpt", request_id=str(i))
@@ -239,9 +247,130 @@ class TestHandle:
         assert snap["counters"]["batches_total"] >= 1
         assert snap["histograms"]["batch_size"]["max"] >= 2
 
+    def test_isolated_requests_ship_without_waiting(self):
+        """With a worker idle, a request is dispatched in the same
+        event-loop turn: sequential requests each ship alone and never
+        wait for company."""
+
+        async def scenario():
+            svc = SolveService(max_workers=2)
+            try:
+                for i in range(50):
+                    res = await svc.handle(_req([i + 1, 9, 4, 7, 2], request_id=str(i)))
+                    assert res.ok and not res.cached
+            finally:
+                await _closed(svc)
+            return svc.metrics.snapshot()
+
+        snap = run(scenario())
+        sizes = snap["histograms"]["batch_size"]
+        assert snap["counters"]["batches_total"] == 50
+        assert sizes["count"] == 50 and sizes["max"] == 1
+        assert snap["histograms"]["queue_wait_seconds"]["max"] < 2.5e-3
+
+    def _gated(self, svc: SolveService, request_id: str) -> threading.Event:
+        """Make the solve of *request_id* hold its worker until the
+        returned event is set."""
+        release = threading.Event()
+        solve_one = svc._solve_one
+
+        def gated(job):
+            if job.request.request_id == request_id:
+                release.wait(30)
+            return solve_one(job)
+
+        svc._solve_one = gated
+        return release
+
+    def test_requests_queued_behind_a_busy_slot_ship_as_one_batch(self):
+        slow = _req(range(1, 41), machines=4, engine="ptas", eps=0.3, request_id="slow")
+        small = [
+            _req([i + 3, 2 * i + 1, 5, 7, 4], request_id=f"s{i}") for i in range(6)
+        ]
+
+        async def scenario():
+            svc = SolveService(max_workers=1, batch_max_jobs=16)
+            release = self._gated(svc, "slow")
+            try:
+                tasks = [
+                    asyncio.create_task(svc.handle(r)) for r in [slow, *small]
+                ]
+                await asyncio.sleep(0.05)
+                queued_while_busy = not any(t.done() for t in tasks)
+                release.set()
+                results = await asyncio.gather(*tasks)
+            finally:
+                release.set()
+                await _closed(svc)
+            return queued_while_busy, results, svc.metrics.snapshot()
+
+        queued_while_busy, results, snap = run(scenario())
+        assert queued_while_busy
+        for request, result in zip([slow, *small], results):
+            assert result.ok and result.request_id == request.request_id
+            inst = request.instance()
+            assert verify_schedule(result.schedule(inst), inst).ok
+        # The 40-job solve is dispatched directly; the six small ones
+        # queued behind it and ship together when its slot frees.
+        assert snap["counters"]["batches_total"] == 1
+        assert snap["histograms"]["batch_size"]["max"] == 6
+
+    def test_queued_batches_group_by_engine_and_eps(self):
+        slow = _req(range(1, 41), machines=4, engine="ptas", eps=0.3, request_id="slow")
+        queued = [
+            _req([i + 2, 6, 5, 3], engine=engine, eps=eps, request_id=f"q{i}")
+            for i, (engine, eps) in enumerate(
+                [("lpt", 0.3), ("ptas", 0.3), ("lpt", 0.3), ("ptas", 0.2), ("ptas", 0.3)]
+            )
+        ]
+
+        async def scenario():
+            svc = SolveService(max_workers=1, batch_max_jobs=16)
+            release = self._gated(svc, "slow")
+            try:
+                tasks = [
+                    asyncio.create_task(svc.handle(r)) for r in [slow, *queued]
+                ]
+                await asyncio.sleep(0.05)
+                release.set()
+                results = await asyncio.gather(*tasks)
+            finally:
+                release.set()
+                await _closed(svc)
+            return results, svc.metrics.histogram("batch_size")
+
+        results, sizes = run(scenario())
+        assert all(r.ok for r in results)
+        # One dispatch per compatibility group, oldest group first:
+        # lpt (2 requests), ptas at 0.3 (2), ptas at 0.2 (1).
+        assert sizes.count == 3
+        assert sizes.total == 5 and sizes.max == 2
+
+    def test_deadline_request_queued_behind_busy_slot_degrades(self):
+        slow = _req(range(1, 41), machines=4, engine="ptas", eps=0.3, request_id="slow")
+        late = _req(range(1, 30), machines=4, engine="ptas", eps=0.1, deadline=0.0)
+
+        async def scenario():
+            svc = SolveService(max_workers=1, batch_max_jobs=32)
+            release = self._gated(svc, "slow")
+            try:
+                tasks = [asyncio.create_task(svc.handle(r)) for r in (slow, late)]
+                await asyncio.sleep(0.05)
+                release.set()
+                return await asyncio.gather(*tasks)
+            finally:
+                release.set()
+                await _closed(svc)
+
+        first, degraded = run(scenario())
+        assert first.ok and not first.degraded
+        assert degraded.ok and degraded.degraded and degraded.engine == "lpt"
+        inst = late.instance()
+        assert verify_schedule(degraded.schedule(inst), inst).ok
+
     def test_stats_exposes_every_subsystem(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 await svc.handle(_req([3, 1, 2], engine="ptas"))
                 return svc.stats()
@@ -261,7 +390,7 @@ class TestHandle:
         breakdown lands in the metrics snapshot (``op=stats``)."""
 
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 await svc.handle(_req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas"))
                 return svc.stats()
@@ -278,7 +407,7 @@ class TestHandle:
 class TestProtocol:
     def test_ping_stats_malformed_and_shutdown(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             server = await start_server(svc, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             pong = await send_op("127.0.0.1", port, "ping")
@@ -375,7 +504,6 @@ class TestEndToEnd:
         async def scenario():
             svc = SolveService(
                 max_workers=4,
-                batch_window=0.005,
                 cache=ResultCache(max_entries=256),
                 admission=AdmissionController(
                     max_queue_depth=len(requests) + 8, max_inflight_ops=1e18
