@@ -14,7 +14,7 @@ every iteration, so the loop runs ``O(log max t)`` times.
 
 Warm starts (deviation from the paper, ``warm_start=True``)
 -----------------------------------------------------------
-Two cheap accelerations shrink the work per solve without changing the
+Three cheap accelerations shrink the work per solve without changing the
 certified target (property-tested against the faithful search):
 
 * **LPT-seeded upper bound.**  Eq. 2 is Graham's worst case; the actual
@@ -28,27 +28,39 @@ certified target (property-tested against the faithful search):
   split — produce identical class structure, so the previous probe's
   :class:`~repro.core.rounding.RoundedInstance` is reused with only the
   target swapped instead of re-scanning all ``n`` jobs.
+* **Probe reuse** (:func:`reuse_probes`, applied by the PTAS drivers on
+  the real backends).  Every class size is a multiple of ``g``, the gcd
+  of the sizes (itself a multiple of the quantum), so a configuration
+  fits ``T`` exactly when it fits ``T - T % g``: two probes with the same
+  classes and the same floored target pose the same DP.  A repeat is
+  answered from the earlier probe's :class:`~repro.core.dp.DPResult`
+  (same ``opt``, same backtracked configurations) and skips
+  enumerate, DP and backtrack; the rounding still runs, since it builds
+  the key.  Near convergence, once the interval is narrower than the
+  quantum, every remaining probe is such a repeat.
 
 Every probe threads the machine budget through to the solver as its
 decision ``limit``, so early-exit engines (``frontier``, ``dominance``)
 stop at depth ``m`` — the callable contract of :data:`DecisionSolver`.
-Both accelerations certify an equally valid target: every ``T >= OPT``
-is feasible for the rounded DP (rounding only shrinks loads), so any
-bracketing interval converges to a feasible target ``<= OPT`` and the
-``(1 + eps)`` guarantee holds unchanged.  Below ``OPT`` the rounding
+The first two accelerations certify an equally valid target: every
+``T >= OPT`` is feasible for the rounded DP (rounding only shrinks
+loads), so any bracketing interval converges to a feasible target
+``<= OPT`` and the ``(1 + eps)`` guarantee holds unchanged.  Below ``OPT`` the rounding
 bucket varies with ``T``, so the warm search may certify a *different*
 (equally valid) target than the faithful one — property-tested in
-``tests/test_bisection.py``.
+``tests/test_bisection.py``.  Probe reuse changes no probe's answer, so
+it leaves the targets, the trace and the schedule exactly as they were.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.bounds import makespan_bounds
-from repro.core.context import SolveContext, resolve_context
+from repro.core.context import DEFAULT_CONTEXT, SolveContext, resolve_context
 from repro.core.dp import DPProblem, DPResult
 from repro.core.rounding import RoundedInstance, round_instance, rounding_unit
 from repro.model.instance import Instance
@@ -61,6 +73,47 @@ _FAITHFUL_CONTEXT = SolveContext(warm_start=False)
 #: A solver takes the rounded problem of one iteration and the machine
 #: budget ``m``, and must report ``opt=None`` when ``OPT(N) > m``.
 DecisionSolver = Callable[[DPProblem, int], DPResult]
+
+
+def reuse_probes(
+    solver: DecisionSolver, ctx: SolveContext = DEFAULT_CONTEXT
+) -> DecisionSolver:
+    """Wrap ``solver`` so a probe that poses an already-solved DP is
+    answered from the earlier probe instead of solved again.
+
+    Answers are keyed on the classes, the counts, the job cap, the
+    machine budget and the target floored to a multiple of the gcd of the
+    class sizes: every configuration weight is such a multiple, so the
+    floored problem has exactly the configuration set of the original,
+    hence the same ``opt`` and the same backtracked configurations
+    (property-tested on every engine in ``tests/test_dp_engines.py``).
+    Each hit adds one to the ``dp_reuses`` counter of ``ctx``'s tracer.
+    Use one wrapper per solve; it keeps every answer until it is dropped.
+
+    >>> calls = []
+    >>> def solver(problem, m):
+    ...     calls.append(problem.target)
+    ...     return DPResult(opt=1)
+    >>> reusing = reuse_probes(solver)
+    >>> [reusing(DPProblem((4, 6), (1, 1), t), 2).opt for t in (10, 11, 12)]
+    [1, 1, 1]
+    >>> calls
+    [10, 12]
+    """
+    answers: dict[tuple, DPResult] = {}
+
+    def reusing(problem: DPProblem, m: int) -> DPResult:
+        quantum = math.gcd(*problem.class_sizes)
+        floored = problem.target - problem.target % quantum if quantum else 0
+        key = (problem.class_sizes, problem.counts, floored, problem.job_cap, m)
+        result = answers.get(key)
+        if result is None:
+            result = answers[key] = solver(problem, m)
+        else:
+            ctx.count("dp_reuses")
+        return result
+
+    return reusing
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ The context bundles
 * ``check_deadline`` — zero-argument cancellation hook, invoked between
   bisection probes (raises, e.g.
   :class:`repro.service.requests.DeadlineExceeded`, to abandon a solve);
-* ``warm_start`` — LPT-seeded bisection bound + rounding-bucket reuse;
+* ``warm_start`` — LPT-seeded bisection bound, rounding-bucket reuse and
+  probe reuse;
 * ``tracer`` — the :mod:`repro.obs` span tracer (default: the no-op
   :data:`~repro.obs.trace.NULL_TRACER`, which costs nanoseconds);
 * ``metrics`` — an optional metrics registry (duck-typed against
@@ -57,8 +58,9 @@ class SolveContext:
     #: Cancellation hook invoked between bisection probes; signals by
     #: raising.  ``None`` means the solve cannot be cancelled.
     check_deadline: Callable[[], None] | None = None
-    #: LPT-seeded upper bound + rounding-bucket reuse in the bisection
-    #: (see :mod:`repro.core.bisection`); the certified target is equally
+    #: LPT-seeded upper bound + rounding-bucket reuse in the bisection,
+    #: plus probe reuse in the PTAS drivers (see
+    #: :mod:`repro.core.bisection`); the certified target is equally
     #: valid either way.
     warm_start: bool = True
     #: Optional caller-supplied upper bound for the bisection: the

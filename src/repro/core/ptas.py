@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.core.bisection import BisectionOutcome, bisect_target_makespan
+from repro.core.bisection import (
+    BisectionOutcome,
+    bisect_target_makespan,
+    reuse_probes,
+)
 from repro.core.bounds import makespan_bounds
 from repro.core.context import SolveContext, resolve_context
 from repro.core.dp import DEFAULT_DP_ENGINE, DPProblem, DPResult, solve
@@ -142,11 +146,11 @@ def ptas(
     ctx:
         :class:`~repro.core.context.SolveContext` bundling the
         cross-cutting concerns: deadline hook (checked before every
-        bisection probe), warm-start policy (LPT-seeded upper bound +
-        rounding reuse, on by default; the certified target and schedule
-        are identical either way), tracer (the run is wrapped in a
-        ``solve`` span; probes, DP phases and wavefront levels nest
-        beneath it) and metrics.  Defaults to
+        bisection probe), warm-start policy (LPT-seeded upper bound,
+        rounding reuse and probe reuse, on by default; the certified
+        target and schedule are identical either way), tracer (the run
+        is wrapped in a ``solve`` span; probes, DP phases and wavefront
+        levels nest beneath it) and metrics.  Defaults to
         :data:`~repro.core.context.DEFAULT_CONTEXT`.
     warm_start, check_deadline:
         Deprecated kwarg shims — each emits a :class:`DeprecationWarning`
@@ -174,6 +178,9 @@ def ptas(
             collect_stats=collect_stats,
             ctx=ctx,
         )
+
+    if ctx.warm_start:
+        solver = reuse_probes(solver, ctx)
 
     with ctx.span(
         "solve",
@@ -441,6 +448,11 @@ def parallel_ptas(
             executor=executor,
             ctx=ctx,
         )
+
+    # The simulated machine charges every probe: it models Algorithm 1's
+    # per-probe cost for the speedup figures, so its probes are not reused.
+    if ctx.warm_start and machine is None:
+        solver = reuse_probes(solver, ctx)
 
     try:
         with ctx.span(

@@ -42,7 +42,7 @@ def _as_int(value: object, what: str) -> int:
     return as_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """An immutable ``P || Cmax`` problem instance.
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from repro.model.instance import Instance, _as_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QInstance:
     """An immutable ``Q || Cmax`` problem instance.
 

@@ -31,40 +31,96 @@ its unanswered work on restart — see ``docs/persistence.md``.
 See ``docs/service.md`` for the architecture and protocol reference.
 """
 
-from repro.service.admission import AdmissionController, AdmissionDecision
-from repro.service.cache import (
-    ResultCache,
-    canonical_key,
-    canonicalize_result,
-    localize_result,
-)
-from repro.service.metrics import MetricsRegistry, dp_cache_stats
-from repro.service.registry import (
-    EngineSpec,
-    UnknownEngineError,
-    UnsupportedProblemError,
-    available_engines,
-    engine_problem_pairs,
-    fallback_result,
-    get_engine,
-)
-from repro.service.requests import (
-    PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOLS,
-    DeadlineExceeded,
-    SolveRequest,
-    SolveResult,
-    StreamRequest,
-    StreamResult,
-)
-from repro.service.server import SolveService, serve, stream_events, submit
-from repro.service.sharding import (
-    shard_index,
-    shard_key,
-    shard_of_request,
-    tenant_shard,
-)
-from repro.service.supervisor import PooledSolveService, SupervisorPool
+import importlib
+from typing import TYPE_CHECKING, Any
+
+#: Exported name -> the submodule that defines it.  Exports load on first
+#: access (PEP 562), so ``repro.solve`` pulls in only ``registry`` and
+#: ``requests``, not the asyncio server and the process pool.
+_EXPORTS: dict[str, str] = {
+    "AdmissionController": "admission",
+    "AdmissionDecision": "admission",
+    "ResultCache": "cache",
+    "canonical_key": "cache",
+    "canonicalize_result": "cache",
+    "localize_result": "cache",
+    "MetricsRegistry": "metrics",
+    "dp_cache_stats": "metrics",
+    "EngineSpec": "registry",
+    "UnknownEngineError": "registry",
+    "UnsupportedProblemError": "registry",
+    "available_engines": "registry",
+    "engine_problem_pairs": "registry",
+    "fallback_result": "registry",
+    "get_engine": "registry",
+    "PROTOCOL_VERSION": "requests",
+    "SUPPORTED_PROTOCOLS": "requests",
+    "DeadlineExceeded": "requests",
+    "SolveRequest": "requests",
+    "SolveResult": "requests",
+    "StreamRequest": "requests",
+    "StreamResult": "requests",
+    "SolveService": "server",
+    "serve": "server",
+    "stream_events": "server",
+    "submit": "server",
+    "shard_index": "sharding",
+    "shard_key": "sharding",
+    "shard_of_request": "sharding",
+    "tenant_shard": "sharding",
+    "PooledSolveService": "supervisor",
+    "SupervisorPool": "supervisor",
+}
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.admission import AdmissionController, AdmissionDecision
+    from repro.service.cache import (
+        ResultCache,
+        canonical_key,
+        canonicalize_result,
+        localize_result,
+    )
+    from repro.service.metrics import MetricsRegistry, dp_cache_stats
+    from repro.service.registry import (
+        EngineSpec,
+        UnknownEngineError,
+        UnsupportedProblemError,
+        available_engines,
+        engine_problem_pairs,
+        fallback_result,
+        get_engine,
+    )
+    from repro.service.requests import (
+        PROTOCOL_VERSION,
+        SUPPORTED_PROTOCOLS,
+        DeadlineExceeded,
+        SolveRequest,
+        SolveResult,
+        StreamRequest,
+        StreamResult,
+    )
+    from repro.service.server import SolveService, serve, stream_events, submit
+    from repro.service.sharding import (
+        shard_index,
+        shard_key,
+        shard_of_request,
+        tenant_shard,
+    )
+    from repro.service.supervisor import PooledSolveService, SupervisorPool
+
+
+def __getattr__(name: str) -> Any:
+    """Import the submodule that defines *name* on first access."""
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AdmissionController",

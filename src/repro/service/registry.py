@@ -32,6 +32,7 @@ valid (engine, problem) pairs.
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -403,8 +404,12 @@ def fallback_result(
 
 
 def canonical_engine_name(name: str) -> str:
-    """Normalize an engine name (dashes == underscores, case-folded)."""
-    return name.strip().lower().replace("-", "_")
+    """Normalize an engine name (dashes == underscores, case-folded).
+
+    The name is interned, so every result that carries it shares one
+    string instead of holding its own copy.
+    """
+    return sys.intern(name.strip().lower().replace("-", "_"))
 
 
 def available_engines() -> tuple[str, ...]:

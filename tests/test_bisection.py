@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.lpt import lpt
-from repro.core.bisection import _RoundingCache, bisect_target_makespan
+from repro.core.bisection import _RoundingCache, bisect_target_makespan, reuse_probes
 from repro.core.context import SolveContext
 from repro.core.bounds import makespan_bounds
 from repro.core.dp import DPProblem, DPResult, solve
-from repro.core.rounding import round_instance
+from repro.core.rounding import round_instance, rounding_unit
 from repro.exact.brute import brute_force
 from repro.model.instance import Instance
+from repro.obs import Tracer
 
 from conftest import small_instances
 
@@ -168,6 +172,101 @@ class TestWarmStart:
             # probes no more often; certifying an unprobed UB costs at
             # most one extra solve.
             assert warm.num_iterations <= faithful.num_iterations + 1, k
+
+
+class TestProbeReuse:
+    """:func:`reuse_probes` answers a probe whose DP an earlier probe of
+    the same solve already posed, and must leave the search's outcome
+    exactly as the unwrapped solver leaves it."""
+
+    @staticmethod
+    def _spied_search(inst: Instance, k: int):
+        """Warm search through the wrapper, recording every probe that
+        reaches the wrapper and every one that reaches the inner solver."""
+        probes: list[tuple[DPProblem, int]] = []
+        inner: list[tuple[DPProblem, int]] = []
+
+        def spy(problem: DPProblem, m: int) -> DPResult:
+            inner.append((problem, m))
+            return solve(problem, "table", limit=m)
+
+        tracer = Tracer()
+        ctx = SolveContext(tracer=tracer)
+        reusing = reuse_probes(spy, ctx)
+
+        def outer(problem: DPProblem, m: int) -> DPResult:
+            probes.append((problem, m))
+            return reusing(problem, m)
+
+        outcome = bisect_target_makespan(inst, k, outer, job_cap=k - 1, ctx=ctx)
+        return outcome, probes, inner, tracer.counters
+
+    @given(small_instances(max_time=60), st.integers(min_value=2, max_value=5))
+    @settings(max_examples=60)
+    def test_property_outcome_unchanged_and_each_problem_solved_once(
+        self, inst: Instance, k: int
+    ):
+        outcome, probes, inner, counters = self._spied_search(inst, k)
+        plain = bisect_target_makespan(
+            inst, k, make_solver(), job_cap=k - 1, ctx=SolveContext()
+        )
+        assert (
+            outcome.final_target,
+            outcome.rounded,
+            outcome.dp_result,
+            outcome.iterations,
+        ) == (plain.final_target, plain.rounded, plain.dp_result, plain.iterations)
+
+        def floored(problem: DPProblem, m: int, quantum: int) -> tuple:
+            target = problem.target - problem.target % quantum if quantum else 0
+            return (problem.class_sizes, problem.counts, target, problem.job_cap, m)
+
+        # The inner solver sees each distinct floored problem exactly once,
+        # in the order the search first poses it.
+        keys = []
+        for problem, m in probes:
+            key = floored(problem, m, math.gcd(*problem.class_sizes))
+            if key not in keys:
+                keys.append(key)
+        inner_keys = [floored(p, m, math.gcd(*p.class_sizes)) for p, m in inner]
+        assert inner_keys == keys
+        assert counters.get("dp_reuses", 0) == len(probes) - len(inner)
+        # Probes in the same rounding bucket (target floored to the
+        # quantum ceil(T/k^2)) never reach the inner solver twice.
+        units = {
+            floored(p, m, rounding_unit(p.target, k)) for p, m in probes
+        }
+        assert len(inner) <= len(units)
+
+    def test_repeats_near_convergence_are_reused(self):
+        # Once the interval is narrower than the quantum, every further
+        # probe floors to a problem solved before.
+        inst = Instance([60, 57, 51, 44, 38, 33, 31, 26, 20, 13, 9, 5], 4)
+        outcome, probes, inner, counters = self._spied_search(inst, 4)
+        assert counters["dp_reuses"] >= 1
+        assert len(inner) < len(probes) == outcome.num_iterations
+
+    def test_key_covers_every_input_of_the_dp(self):
+        calls: list[tuple[DPProblem, int]] = []
+
+        def solver(problem: DPProblem, m: int) -> DPResult:
+            calls.append((problem, m))
+            return solve(problem, "table", limit=m)
+
+        reusing = reuse_probes(solver)
+        base = DPProblem((10, 20), (2, 1), 37)
+        posed = [
+            (base, 3),
+            (DPProblem((10, 20), (2, 1), 39), 3),  # same floor 30: reused
+            (base, 2),  # machine budget
+            (DPProblem((10, 20), (3, 1), 37), 3),  # counts
+            (DPProblem((10, 20), (2, 1), 37, job_cap=1), 3),  # job cap
+            (DPProblem((10, 30), (2, 1), 37), 3),  # sizes
+            (DPProblem((10, 20), (2, 1), 40), 3),  # floor 40
+        ]
+        for problem, m in posed:
+            assert reusing(problem, m) == solve(problem, "table", limit=m)
+        assert calls == [posed[0]] + posed[2:]
 
 
 @given(small_instances())

@@ -23,6 +23,7 @@ from repro.core.dp import (
     solve_table,
     unrank,
 )
+from repro.core.parallel_dp import parallel_dp
 
 from conftest import dp_problems
 
@@ -260,3 +261,59 @@ def test_property_monotone_in_target(problem: DPProblem):
     relaxed = solve_table(bigger, track_schedule=False).opt
     assert relaxed is not None and base is not None
     assert relaxed <= base
+
+
+def _assert_scale_invariant(problem: DPProblem, scale: int, slack: int, solvers) -> None:
+    """Every configuration weight of the scaled problem is a multiple of
+    ``scale``, so the slack ``< scale`` admits no new configuration and
+    the answer, witness included, must not move.  Probe reuse in
+    :func:`repro.core.bisection.reuse_probes` relies on exactly this."""
+    scaled = DPProblem(
+        tuple(s * scale for s in problem.class_sizes),
+        problem.counts,
+        problem.target * scale + slack,
+        job_cap=problem.job_cap,
+    )
+    for name, fn in solvers:
+        base, big = fn(problem), fn(scaled)
+        assert (big.opt, big.machine_configs) == (base.opt, base.machine_configs), name
+
+
+_INVARIANT_SOLVERS = [
+    (name, lambda p, name=name: solve(p, name))
+    for name in ENGINES
+    if name != "config-ilp"
+] + [
+    (f"parallel-{backend}", lambda p, backend=backend: parallel_dp(p, 2, backend))
+    for backend in ("serial", "numpy-serial")
+]
+
+
+@st.composite
+def _scale_and_slack(draw: st.DrawFn) -> tuple[int, int]:
+    scale = draw(st.integers(min_value=2, max_value=6))
+    return scale, draw(st.integers(min_value=0, max_value=scale - 1))
+
+
+@given(
+    dp_problems(),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    _scale_and_slack(),
+)
+@settings(max_examples=60)
+def test_property_scaling_sizes_and_target_keeps_answer(problem, cap, scale_slack):
+    """``(sizes*c, counts, T*c + r)`` with ``0 <= r < c`` poses the DP of
+    ``(sizes, counts, T)``: same OPT and the same configurations on every
+    engine."""
+    problem = DPProblem(problem.class_sizes, problem.counts, problem.target, job_cap=cap)
+    _assert_scale_invariant(problem, *scale_slack, _INVARIANT_SOLVERS)
+
+
+@given(dp_problems(max_classes=2, max_count=3, max_size=8), _scale_and_slack())
+@settings(max_examples=15)
+def test_property_scaling_keeps_config_ilp_answer(problem, scale_slack):
+    """The scaling invariance on the HiGHS configuration IP, on smaller
+    problems (each solve costs a MILP)."""
+    _assert_scale_invariant(
+        problem, *scale_slack, [("config-ilp", lambda p: solve(p, "config-ilp"))]
+    )

@@ -1,12 +1,14 @@
-"""The service's import footprint: serving the wire-default requests must
-not load numpy or scipy.
+"""Import footprints: serving the wire-default requests must not load
+numpy or scipy, and :func:`repro.solve` must not load the service.
 
 ``python -m repro serve`` imports :mod:`repro.cli` and
 :mod:`repro.service.server`; the PTAS with the wire-default
 ``dominance`` DP and both LPTs are pure Python, so numpy (about 12 MB
 resident) and scipy stay out of the server until a request needs them.
-Each check runs in a fresh interpreter, because the test process itself
-has long since imported both.
+:mod:`repro.service` exports lazily, so a library solve loads only the
+registry and the wire types, not the asyncio server, the process pool
+or the online layer.  Each check runs in a fresh interpreter, because
+the test process itself has long since imported all of them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,20 @@ async def main():
 asyncio.run(main())
 """
 
+LIBRARY_SCRIPT = """
+import json, sys
+
+import repro
+
+SERVICE_SIDE = ("asyncio", "repro.service.server", "repro.service.supervisor", "repro.online")
+
+result = repro.solve(repro.Instance((9, 8, 7, 6, 5, 5, 4, 3, 2, 1), 3), "ptas")
+seen = {"makespan": result.makespan, "solved": [m for m in SERVICE_SIDE if m in sys.modules]}
+from repro.service import PooledSolveService, SolveService
+seen["exports"] = [SolveService.__module__, PooledSolveService.__module__]
+print(json.dumps(seen))
+"""
+
 
 def _run_fresh(script: str) -> dict:
     env = dict(os.environ)
@@ -82,3 +98,13 @@ def test_service_serves_default_requests_without_numpy():
         times=(7, 7, 6, 6, 5, 4, 4, 3), machines=3, engine="ptas", dp_engine="numpy"
     )
     assert seen["numpy_makespan"] == solve_to_result(request).makespan
+
+
+def test_library_solve_does_not_load_the_service():
+    seen = _run_fresh(LIBRARY_SCRIPT)
+    assert seen["solved"] == []
+    assert seen["makespan"] == solve_to_result(
+        SolveRequest(times=(9, 8, 7, 6, 5, 5, 4, 3, 2, 1), machines=3, dp_engine="numpy")
+    ).makespan
+    # The lazy exports still resolve on first access.
+    assert seen["exports"] == ["repro.service.server", "repro.service.supervisor"]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.model.instance import Instance
+from repro.model.qinstance import QInstance
 
 from conftest import medium_instances
 
@@ -140,3 +143,29 @@ class TestHelpers:
     def test_average_load(self):
         inst = Instance([3, 4, 5], num_machines=2)
         assert inst.average_load == 6.0
+
+
+class TestSlots:
+    """Instances use ``__slots__`` (no per-object ``__dict__``): a service
+    retains one per answered request.  Copying, pickling, hashing and
+    equality must behave as for a plain frozen dataclass, cached
+    aggregates included."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [Instance([7, 3, 5, 5], 2), QInstance([6, 4, 2], speeds=[2, 1])],
+        ids=["p", "q"],
+    )
+    def test_round_trips_keep_fields_and_identity(self, inst):
+        assert not hasattr(inst, "__dict__")
+        for copy_ in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
+            assert copy_ == inst
+            assert hash(copy_) == hash(inst)
+            assert copy_.total_work == inst.total_work
+            assert copy_.max_time == inst.max_time
+        assert len({inst, pickle.loads(pickle.dumps(inst))}) == 1
+
+    def test_stays_frozen(self):
+        inst = Instance([7, 3], 2)
+        with pytest.raises(AttributeError):
+            inst.num_machines = 3  # type: ignore[misc]
