@@ -73,30 +73,68 @@ def _enumerate(
     target: int,
     max_jobs: int | None,
 ) -> list[tuple[int, ...]]:
-    """DFS over per-class counts, pruning by remaining capacity.
+    """Every configuration, grown one class at a time.
 
-    Classes are visited in order; since sizes are positive the remaining
-    budget shrinks monotonically, so the recursion never explores an
-    infeasible prefix.  ``max_jobs`` additionally bounds the total count
-    (the integral-rounding guarantee fix; see ``enumerate_configurations``).
+    Each pass extends every partial configuration by each feasible count
+    of the next class, in ascending order, so the result is
+    lexicographic.  Since sizes are positive the remaining budget shrinks
+    monotonically and no infeasible prefix is ever extended.
+    ``max_jobs`` additionally bounds the total count (the
+    integral-rounding guarantee fix; see ``enumerate_configurations``).
+    A plain loop rather than a recursive closure: a closure that calls
+    itself is a reference cycle, which would keep every output alive
+    until the next full garbage collection.
     """
-    d = len(class_sizes)
-    out: list[tuple[int, ...]] = []
-    current = [0] * d
+    partial = [((), target, target if max_jobs is None else max_jobs)]
+    for size, cap in zip(class_sizes, caps):
+        grown = []
+        for prefix, budget, jobs_left in partial:
+            for count in range(min(cap, budget // size, jobs_left) + 1):
+                grown.append(
+                    (prefix + (count,), budget - count * size, jobs_left - count)
+                )
+        partial = grown
+    return [prefix for prefix, _, _ in partial]
 
-    def recurse(c: int, budget: int, jobs_left: int) -> None:
-        if c == d:
-            out.append(tuple(current))
-            return
-        size = class_sizes[c]
-        limit = min(caps[c], budget // size, jobs_left)
-        for count in range(limit + 1):
-            current[c] = count
-            recurse(c + 1, budget - count * size, jobs_left - count)
-        current[c] = 0
 
-    recurse(0, target, target if max_jobs is None else max_jobs)
-    return out
+def _enumerate_maximal(
+    class_sizes: tuple[int, ...],
+    caps: tuple[int, ...],
+    target: int,
+    max_jobs: int | None,
+) -> list[tuple[int, ...]]:
+    """The maximal configurations of :func:`_enumerate`, in its order.
+
+    Each partial configuration also carries the smallest size among its
+    classes that still have room (count below cap).  A complete one is
+    maximal when that size exceeds the remaining budget, or when the job
+    cap is reached — exactly :func:`is_maximal`.  The last class only
+    takes its largest feasible count: one job fewer leaves room for one
+    more of that class.
+    """
+    no_room = float("inf")
+    partial = [((), target, target if max_jobs is None else max_jobs, no_room)]
+    last = len(class_sizes) - 1
+    for c, (size, cap) in enumerate(zip(class_sizes, caps)):
+        grown = []
+        for prefix, budget, jobs_left, open_size in partial:
+            limit = min(cap, budget // size, jobs_left)
+            smaller = size if size < open_size else open_size
+            for count in range(limit if c == last else 0, limit + 1):
+                grown.append(
+                    (
+                        prefix + (count,),
+                        budget - count * size,
+                        jobs_left - count,
+                        open_size if count == cap else smaller,
+                    )
+                )
+        partial = grown
+    return [
+        prefix
+        for prefix, budget, jobs_left, open_size in partial
+        if jobs_left == 0 or open_size > budget
+    ]
 
 
 # Small on purpose: enumerations rarely repeat.  With 4096 entries about
@@ -108,8 +146,43 @@ def _enumerate_cached(
     caps: tuple[int, ...],
     target: int,
     max_jobs: int | None,
+    maximal: bool = False,
 ) -> tuple[tuple[int, ...], ...]:
-    return tuple(_enumerate(class_sizes, caps, target, max_jobs))
+    enumerate_fn = _enumerate_maximal if maximal else _enumerate
+    return tuple(enumerate_fn(class_sizes, caps, target, max_jobs))
+
+
+def _validated(
+    class_sizes: Sequence[int],
+    caps: Sequence[int],
+    target: int,
+    max_jobs: int | None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(class_sizes, caps)`` as int tuples, after checking every input."""
+    sizes = tuple(int(s) for s in class_sizes)
+    caps_t = tuple(int(c) for c in caps)
+    if len(sizes) != len(caps_t):
+        raise ValueError("class_sizes and caps must have equal length")
+    for s in sizes:
+        if s <= 0:
+            raise ValueError(f"class sizes must be positive, got {s}")
+    for c in caps_t:
+        if c < 0:
+            raise ValueError(f"caps must be non-negative, got {c}")
+    if target < 0:
+        raise ValueError(f"target must be non-negative, got {target}")
+    if max_jobs is not None and max_jobs < 0:
+        raise ValueError(f"max_jobs must be non-negative, got {max_jobs}")
+    return sizes, caps_t
+
+
+def _configuration_set(
+    sizes: tuple[int, ...], target: int, configs: tuple[tuple[int, ...], ...]
+) -> ConfigurationSet:
+    weights = tuple(
+        sum(count * size for count, size in zip(cfg, sizes)) for cfg in configs
+    )
+    return ConfigurationSet(sizes, int(target), configs, weights)
 
 
 def enumerate_configurations(
@@ -140,27 +213,11 @@ def enumerate_configurations(
     >>> enumerate_configurations([6, 11], caps=[2, 3], target=30, max_jobs=1).configs
     ((0, 1), (1, 0))
     """
-    sizes = tuple(int(s) for s in class_sizes)
-    caps_t = tuple(int(c) for c in caps)
-    if len(sizes) != len(caps_t):
-        raise ValueError("class_sizes and caps must have equal length")
-    for s in sizes:
-        if s <= 0:
-            raise ValueError(f"class sizes must be positive, got {s}")
-    for c in caps_t:
-        if c < 0:
-            raise ValueError(f"caps must be non-negative, got {c}")
-    if target < 0:
-        raise ValueError(f"target must be non-negative, got {target}")
-    if max_jobs is not None and max_jobs < 0:
-        raise ValueError(f"max_jobs must be non-negative, got {max_jobs}")
+    sizes, caps_t = _validated(class_sizes, caps, target, max_jobs)
     all_configs = _enumerate_cached(sizes, caps_t, int(target), max_jobs)
     if not include_zero:
         all_configs = tuple(cfg for cfg in all_configs if any(cfg))
-    weights = tuple(
-        sum(count * size for count, size in zip(cfg, sizes)) for cfg in all_configs
-    )
-    return ConfigurationSet(sizes, int(target), all_configs, weights)
+    return _configuration_set(sizes, target, all_configs)
 
 
 def is_maximal(
@@ -199,22 +256,13 @@ def enumerate_maximal_configurations(
     the *cover* relaxation (machines may under-fill a configuration), a
     multiset of machines can pack ``N`` iff some choice of maximal
     configurations componentwise-covers ``N``, so restricting the search
-    to maximal configurations is lossless there.
+    to maximal configurations is lossless there.  One pass emits only the
+    maximal ones, in the order of :func:`enumerate_configurations`
+    (the zero configuration excluded).
     """
-    full = enumerate_configurations(
-        class_sizes, caps, target, include_zero=True, max_jobs=max_jobs
-    )
-    keep = [
-        (cfg, w)
-        for cfg, w in zip(full.configs, full.weights)
-        if any(cfg) and is_maximal(cfg, full.class_sizes, caps, target, max_jobs)
-    ]
-    return ConfigurationSet(
-        full.class_sizes,
-        full.target,
-        tuple(cfg for cfg, _ in keep),
-        tuple(w for _, w in keep),
-    )
+    sizes, caps_t = _validated(class_sizes, caps, target, max_jobs)
+    maximal = _enumerate_cached(sizes, caps_t, int(target), max_jobs, True)
+    return _configuration_set(sizes, target, tuple(cfg for cfg in maximal if any(cfg)))
 
 
 def configuration_count_bound(k: int, num_classes: int) -> int:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.model.problem import P_CMAX, Q_CMAX
@@ -46,6 +45,8 @@ from repro.service.registry import canonical_engine_name
 from repro.service.requests import SolveRequest, SolveResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
+    from repro.model.instance import Instance
+    from repro.model.qinstance import QInstance
     from repro.store.resultstore import ResultStore
 
 #: ``(problem, sorted times, sorted speeds, machines, engine, eps)``.
@@ -57,7 +58,7 @@ CacheKey = tuple[str, tuple[int, ...], tuple[int, ...], int, str, float]
 
 def _sort_order(times: tuple[int, ...]) -> list[int]:
     """Job indices in the stable canonical order (by time, ties by index)."""
-    return sorted(range(len(times)), key=lambda j: (times[j], j))
+    return sorted(range(len(times)), key=times.__getitem__)
 
 
 def _machine_order(speeds: tuple[int, ...]) -> list[int]:
@@ -65,7 +66,7 @@ def _machine_order(speeds: tuple[int, ...]) -> list[int]:
     index).  Identical machines are interchangeable; uniform ones are
     only interchangeable within a speed class, so canonical machine
     coordinates are positions in this order."""
-    return sorted(range(len(speeds)), key=lambda i: (speeds[i], i))
+    return sorted(range(len(speeds)), key=speeds.__getitem__)
 
 
 def canonical_problem_key(request: SolveRequest) -> tuple[str, tuple[int, ...]]:
@@ -83,6 +84,46 @@ def canonical_problem_key(request: SolveRequest) -> tuple[str, tuple[int, ...]]:
     return P_CMAX, ()
 
 
+class PreparedRequest:
+    """A request put into canonical form once, for its whole trip.
+
+    ``order`` is the stable sort order of the request's times and
+    ``key`` its :data:`CacheKey`; ``instance`` is the validated instance
+    when the front end has built one (``None`` otherwise).  Single-flight,
+    both cache tiers, shard routing and the solve all read these fields
+    instead of sorting the times or validating the instance again.
+    """
+
+    __slots__ = ("request", "instance", "order", "key")
+
+    def __init__(
+        self,
+        request: SolveRequest,
+        instance: "Instance | QInstance | None" = None,
+    ) -> None:
+        times = request.times
+        order = _sort_order(times)
+        problem, speeds = canonical_problem_key(request)
+        self.request = request
+        self.instance = instance
+        self.order = order
+        self.key: CacheKey = (
+            problem,
+            tuple([times[j] for j in order]),
+            speeds,
+            request.machines,
+            canonical_engine_name(request.engine),
+            round(request.eps, 12),
+        )
+
+
+def prepare(request: "SolveRequest | PreparedRequest") -> PreparedRequest:
+    """*request* in canonical form (a :class:`PreparedRequest` as is)."""
+    if isinstance(request, PreparedRequest):
+        return request
+    return PreparedRequest(request)
+
+
 def canonical_key(request: SolveRequest) -> CacheKey:
     """The permutation-invariant identity of a request's *answer*.
 
@@ -93,50 +134,88 @@ def canonical_key(request: SolveRequest) -> CacheKey:
     deliberately do not participate: they change how fast the answer is
     computed, never what a valid answer is.
     """
-    problem, speeds = canonical_problem_key(request)
-    return (
-        problem,
-        tuple(sorted(request.times)),
-        speeds,
-        request.machines,
-        canonical_engine_name(request.engine),
-        round(request.eps, 12),
-    )
+    return PreparedRequest(request).key
 
 
 def _to_canonical(
-    request: SolveRequest, assignment: tuple[tuple[int, ...], ...]
+    prepared: PreparedRequest, assignment: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Re-express an assignment over job indices as one over sorted
     positions; for ``q_cmax`` the machine rows are also permuted into
     the canonical (sorted-speed) machine order."""
-    times = request.times
-    position_of = {j: p for p, j in enumerate(_sort_order(times))}
+    position_of = {j: p for p, j in enumerate(prepared.order)}
     groups = tuple(
-        tuple(sorted(position_of[j] for j in grp)) for grp in assignment
+        [tuple(sorted([position_of[j] for j in grp])) for grp in assignment]
     )
-    problem, speeds = canonical_problem_key(request)
-    if problem == Q_CMAX:
-        order = _machine_order(request.speeds)
-        groups = tuple(groups[i] for i in order)
+    if prepared.key[0] == Q_CMAX:
+        order = _machine_order(prepared.request.speeds)
+        groups = tuple([groups[i] for i in order])
     return groups
 
 
 def _from_canonical(
-    request: SolveRequest, canonical: tuple[tuple[int, ...], ...]
+    prepared: PreparedRequest, canonical: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Instantiate a canonical assignment for a concrete job numbering
     (and, for ``q_cmax``, a concrete machine/speed ordering)."""
-    order = _sort_order(request.times)
-    groups = tuple(tuple(order[p] for p in grp) for grp in canonical)
-    problem, speeds = canonical_problem_key(request)
-    if problem == Q_CMAX:
-        machine_order = _machine_order(request.speeds)
+    order = prepared.order
+    groups = tuple([tuple([order[p] for p in grp]) for grp in canonical])
+    if prepared.key[0] == Q_CMAX:
+        machine_order = _machine_order(prepared.request.speeds)
         rows: list[tuple[int, ...]] = [()] * len(machine_order)
         for p, machine in enumerate(machine_order):
             rows[machine] = groups[p]
         groups = tuple(rows)
     return groups
+
+
+def _canonicalize(prepared: PreparedRequest, result: SolveResult) -> SolveResult:
+    """:func:`canonicalize_result` for a prepared request."""
+    makespan = result.makespan
+    if (
+        prepared.key[0] == P_CMAX
+        and isinstance(makespan, float)
+        and makespan.is_integer()
+    ):
+        makespan = int(makespan)
+    return SolveResult(
+        request_id="",
+        status=result.status,
+        engine=result.engine,
+        makespan=makespan,
+        assignment=(
+            _to_canonical(prepared, result.assignment)
+            if result.assignment is not None
+            else None
+        ),
+        guarantee=result.guarantee,
+        degraded=result.degraded,
+        cached=False,
+        elapsed=0.0,
+        retry_after=result.retry_after,
+        error=result.error,
+    )
+
+
+def _localize(prepared: PreparedRequest, stored: SolveResult) -> SolveResult:
+    """:func:`localize_result` for a prepared request."""
+    return SolveResult(
+        request_id=prepared.request.request_id,
+        status=stored.status,
+        engine=stored.engine,
+        makespan=stored.makespan,
+        assignment=(
+            _from_canonical(prepared, stored.assignment)
+            if stored.assignment is not None
+            else None
+        ),
+        guarantee=stored.guarantee,
+        degraded=stored.degraded,
+        cached=True,
+        elapsed=stored.elapsed,
+        retry_after=stored.retry_after,
+        error=stored.error,
+    )
 
 
 def canonicalize_result(request: SolveRequest, result: SolveResult) -> SolveResult:
@@ -151,43 +230,13 @@ def canonicalize_result(request: SolveRequest, result: SolveResult) -> SolveResu
     integer load; unit-speed ``q_cmax`` floats are folded back to int so
     the shared entry is byte-identical either way it was produced.
     """
-    canonical = (
-        _to_canonical(request, result.assignment)
-        if result.assignment is not None
-        else None
-    )
-    makespan = result.makespan
-    problem, _ = canonical_problem_key(request)
-    if (
-        problem == P_CMAX
-        and isinstance(makespan, float)
-        and makespan.is_integer()
-    ):
-        makespan = int(makespan)
-    return replace(
-        result,
-        request_id="",
-        assignment=canonical,
-        makespan=makespan,
-        cached=False,
-        elapsed=0.0,
-    )
+    return _canonicalize(PreparedRequest(request), result)
 
 
 def localize_result(request: SolveRequest, stored: SolveResult) -> SolveResult:
     """Translate a canonical *stored* result to *request*'s job numbering
     (inverse of :func:`canonicalize_result`; tagged as a cache hit)."""
-    assignment = (
-        _from_canonical(request, stored.assignment)
-        if stored.assignment is not None
-        else None
-    )
-    return replace(
-        stored,
-        request_id=request.request_id,
-        assignment=assignment,
-        cached=True,
-    )
+    return _localize(PreparedRequest(request), stored)
 
 
 class ResultCache:
@@ -232,14 +281,18 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, request: SolveRequest) -> SolveResult | None:
+    def get(
+        self, request: "SolveRequest | PreparedRequest"
+    ) -> SolveResult | None:
         """The cached result translated to *request*'s job numbering, or
         ``None``.  A hit is tagged ``cached=True`` and echoes the
         request's own id.  On a memory miss the durable tier (if any) is
-        consulted, and a disk hit is promoted back into memory."""
+        consulted, and a disk hit is promoted back into memory.  A
+        :class:`PreparedRequest` reuses its canonical form."""
         if self.max_entries == 0 and self.store is None:
             return None
-        key = canonical_key(request)
+        prepared = prepare(request)
+        key = prepared.key
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and self._expired(entry[0]):
@@ -249,7 +302,7 @@ class ResultCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return localize_result(request, entry[1])
+                return _localize(prepared, entry[1])
             self.misses += 1
         if self.store is None:
             return None
@@ -257,9 +310,11 @@ class ResultCache:
         if stored is None:
             return None
         self._remember(key, stored)
-        return localize_result(request, stored)
+        return _localize(prepared, stored)
 
-    def put(self, request: SolveRequest, result: SolveResult) -> bool:
+    def put(
+        self, request: "SolveRequest | PreparedRequest", result: SolveResult
+    ) -> bool:
         """Store *result* for *request*'s canonical key.
 
         Only clean, full-fidelity answers are cached: degraded (deadline
@@ -273,8 +328,9 @@ class ResultCache:
             return False
         if result.degraded:
             return False
-        stored = canonicalize_result(request, result)
-        key = canonical_key(request)
+        prepared = prepare(request)
+        stored = _canonicalize(prepared, result)
+        key = prepared.key
         self._remember(key, stored)
         if self.store is not None:
             try:

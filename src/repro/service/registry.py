@@ -361,13 +361,24 @@ def solve_to_result(
     the degrade/abort policy.
     """
     spec = get_engine(request.engine, problem=request.problem)
-    instance = request.instance()
+    return solve_instance(spec, request, request.instance(), ctx, clock)
+
+
+def solve_instance(
+    spec: EngineSpec,
+    request: "SolveRequest",
+    instance: "Instance | QInstance",
+    ctx: "SolveContext | None",
+    clock: Callable[[], float],
+) -> SolveResult:
+    """:func:`solve_to_result` for a front end that has already resolved
+    *spec* and validated *request* into *instance*."""
     t0 = clock()
     schedule = spec.solve(instance, request, ctx)
     return SolveResult(
         request_id=request.request_id,
         status=STATUS_OK,
-        engine=canonical_engine_name(request.engine),
+        engine=spec.name,
         makespan=schedule.makespan,
         assignment=schedule.assignment,
         guarantee=spec.guarantee(request),

@@ -33,7 +33,8 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from copy import deepcopy
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.model.instance import Instance
@@ -46,6 +47,10 @@ PROTOCOL_VERSION = 2
 
 #: Envelope versions the service accepts.
 SUPPORTED_PROTOCOLS = (1, 2)
+
+#: One protocol line's encoder: ``json.dumps(..., separators=(",", ":"))``
+#: byte for byte, without building a new encoder on every call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def _check_protocol(value: object) -> int:
@@ -141,9 +146,9 @@ class SolveRequest:
     request_id: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(int(t) for t in self.times))
+        object.__setattr__(self, "times", tuple(map(int, self.times)))
         object.__setattr__(self, "problem", canonical_problem_name(self.problem))
-        object.__setattr__(self, "speeds", tuple(int(s) for s in self.speeds))
+        object.__setattr__(self, "speeds", tuple(map(int, self.speeds)))
         object.__setattr__(self, "protocol", _check_protocol(self.protocol))
         if self.protocol < 2 and (self.problem != P_CMAX or self.speeds):
             raise ValueError(
@@ -188,14 +193,27 @@ class SolveRequest:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe dict form (``times`` as a list)."""
-        d = asdict(self)
-        d["times"] = list(self.times)
-        return d
+        """JSON-safe dict form (``times`` as a list), keys in field order."""
+        return {
+            "times": list(self.times),
+            "machines": self.machines,
+            "problem": self.problem,
+            "speeds": self.speeds,
+            "protocol": self.protocol,
+            "engine": self.engine,
+            "eps": self.eps,
+            "deadline": self.deadline,
+            "dp_engine": self.dp_engine,
+            "workers": self.workers,
+            "backend": self.backend,
+            "mode": self.mode,
+            "time_limit": self.time_limit,
+            "request_id": self.request_id,
+        }
 
     def to_json(self) -> str:
         """One protocol line (compact JSON, no newline)."""
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _COMPACT.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveRequest":
@@ -207,8 +225,7 @@ class SolveRequest:
             machines = data["machines"]
         except KeyError as exc:
             raise ValueError(f"request is missing required field {exc.args[0]!r}") from None
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+        extra = data.keys() - cls.__dataclass_fields__.keys()
         if extra:
             raise ValueError(f"unknown request field(s): {sorted(extra)}")
         kwargs = {k: v for k, v in data.items() if k not in ("times", "machines")}
@@ -262,7 +279,7 @@ class SolveResult:
             object.__setattr__(
                 self,
                 "assignment",
-                tuple(tuple(int(j) for j in grp) for grp in self.assignment),
+                tuple([tuple(map(int, grp)) for grp in self.assignment]),
             )
 
     @property
@@ -280,23 +297,35 @@ class SolveResult:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe dict form (assignment as nested lists)."""
-        d = asdict(self)
-        if self.assignment is not None:
-            d["assignment"] = [list(grp) for grp in self.assignment]
-        return d
+        """JSON-safe dict form (assignment as nested lists), keys in
+        field order."""
+        assignment = self.assignment
+        return {
+            "request_id": self.request_id,
+            "status": self.status,
+            "engine": self.engine,
+            "makespan": self.makespan,
+            "assignment": (
+                None if assignment is None else [list(grp) for grp in assignment]
+            ),
+            "guarantee": self.guarantee,
+            "degraded": self.degraded,
+            "cached": self.cached,
+            "elapsed": self.elapsed,
+            "retry_after": self.retry_after,
+            "error": self.error,
+        }
 
     def to_json(self) -> str:
         """One protocol line (compact JSON, no newline)."""
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _COMPACT.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveResult":
         """Strictly parse a decoded JSON object into a result."""
         if not isinstance(data, dict):
             raise ValueError(f"result must be a JSON object, got {type(data).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+        extra = data.keys() - cls.__dataclass_fields__.keys()
         if extra:
             raise ValueError(f"unknown result field(s): {sorted(extra)}")
         kwargs = dict(data)
@@ -305,8 +334,6 @@ class SolveResult:
         for name in ("status", "engine"):
             if isinstance(kwargs.get(name), str):
                 kwargs[name] = sys.intern(kwargs[name])
-        if kwargs.get("assignment") is not None:
-            kwargs["assignment"] = tuple(tuple(g) for g in kwargs["assignment"])
         return cls(**kwargs)
 
     @classmethod
@@ -319,7 +346,19 @@ class SolveResult:
 
     def with_request_id(self, request_id: str) -> "SolveResult":
         """A copy carrying *request_id* (cache hits echo the caller's)."""
-        return replace(self, request_id=request_id)
+        return SolveResult(
+            request_id=request_id,
+            status=self.status,
+            engine=self.engine,
+            makespan=self.makespan,
+            assignment=self.assignment,
+            guarantee=self.guarantee,
+            degraded=self.degraded,
+            cached=self.cached,
+            elapsed=self.elapsed,
+            retry_after=self.retry_after,
+            error=self.error,
+        )
 
 
 #: Valid actions of the ``op=stream`` session protocol.
@@ -435,16 +474,27 @@ class StreamRequest:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe dict form, tagged ``op=stream``."""
-        d = asdict(self)
-        d["op"] = "stream"
-        d["jobs"] = [[j, t] for j, t in self.jobs]
-        d["job_ids"] = list(self.job_ids)
-        return d
+        """JSON-safe dict form, keys in field order, tagged ``op=stream``."""
+        return {
+            "action": self.action,
+            "tenant": self.tenant,
+            "machines": self.machines,
+            "problem": self.problem,
+            "protocol": self.protocol,
+            "eps": self.eps,
+            "engine": self.engine,
+            "dp_engine": self.dp_engine,
+            "drift_threshold": self.drift_threshold,
+            "jobs": [[j, t] for j, t in self.jobs],
+            "job_ids": list(self.job_ids),
+            "persist": self.persist,
+            "request_id": self.request_id,
+            "op": "stream",
+        }
 
     def to_json(self) -> str:
         """One protocol line (compact JSON, no newline)."""
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _COMPACT.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "StreamRequest":
@@ -464,8 +514,7 @@ class StreamRequest:
             raise ValueError(
                 f"stream request is missing required field {exc.args[0]!r}"
             ) from None
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(payload) - known
+        extra = payload.keys() - cls.__dataclass_fields__.keys()
         if extra:
             raise ValueError(f"unknown stream request field(s): {sorted(extra)}")
         jobs = payload.pop("jobs", ())
@@ -521,14 +570,27 @@ class StreamResult:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe dict form, tagged ``op=stream``."""
-        d = asdict(self)
-        d["op"] = "stream"
-        return d
+        """JSON-safe dict form, keys in field order, tagged ``op=stream``
+        (``snapshot`` is a deep copy: the caller may edit it freely)."""
+        return {
+            "request_id": self.request_id,
+            "tenant": self.tenant,
+            "action": self.action,
+            "status": self.status,
+            "makespan": self.makespan,
+            "ratio": self.ratio,
+            "resolves": self.resolves,
+            "repairs": self.repairs,
+            "num_jobs": self.num_jobs,
+            "restored": self.restored,
+            "snapshot": deepcopy(self.snapshot),
+            "error": self.error,
+            "op": "stream",
+        }
 
     def to_json(self) -> str:
         """One protocol line (compact JSON, no newline)."""
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _COMPACT.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "StreamResult":
@@ -538,8 +600,7 @@ class StreamResult:
             )
         payload = dict(data)
         payload.pop("op", None)
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(payload) - known
+        extra = payload.keys() - cls.__dataclass_fields__.keys()
         if extra:
             raise ValueError(f"unknown stream result field(s): {sorted(extra)}")
         return cls(**payload)

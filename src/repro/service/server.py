@@ -62,10 +62,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.model.instance import Instance
-from repro.model.qinstance import QInstance
 from repro.service.admission import AdmissionController
-from repro.service.cache import CacheKey, ResultCache, canonical_key
+from repro.service.cache import CacheKey, PreparedRequest, ResultCache
 from repro.service.metrics import (
     MetricsRegistry,
     record_dp_cache,
@@ -76,20 +74,18 @@ from repro.service.registry import (
     EngineSpec,
     UnknownEngineError,
     build_solve_context,
-    canonical_engine_name,
     fallback_result,
     get_engine,
-    solve_to_result,
+    solve_instance,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
+    from repro.online.session import SessionManager
     from repro.service.supervisor import PooledSolveService
     from repro.store.journal import WriteAheadJournal
     from repro.store.resultstore import ResultStore
-from repro.online.session import SessionManager
 from repro.service.requests import (
     STATUS_ERROR,
-    STATUS_OK,
     STATUS_REJECTED,
     DeadlineExceeded,
     SolveRequest,
@@ -106,20 +102,19 @@ DEFAULT_PORT = 8357
 class _Job:
     """One admitted request travelling through the dispatch machinery."""
 
-    request: SolveRequest
+    prepared: PreparedRequest
     spec: EngineSpec
-    instance: Instance | QInstance
     deadline_at: float | None
     admitted_at: float
     future: "asyncio.Future[SolveResult]"
 
     @property
+    def request(self) -> SolveRequest:
+        return self.prepared.request
+
+    @property
     def batch_key(self) -> tuple[str, str, float]:
-        return (
-            self.request.problem,
-            canonical_engine_name(self.request.engine),
-            self.request.eps,
-        )
+        return (self.request.problem, self.spec.name, self.request.eps)
 
 
 class SolveService:
@@ -174,25 +169,41 @@ class SolveService:
         self._shutdown_event: asyncio.Event | None = None
         self._busy_workers = 0
         self._inflight: dict[CacheKey, asyncio.Future[None]] = {}
-        #: Live-schedule sessions behind ``op=stream`` — share the
-        #: service's cache (tenant re-solves and one-shot requests
-        #: answer each other), store (durable snapshots), and metrics
-        #: (``tenant.<id>.*`` gauges).
-        self.sessions = SessionManager(
-            store=self.store, cache=self.cache, metrics=self.metrics, clock=clock
-        )
+        self._sessions: "SessionManager | None" = None
+
+    @property
+    def sessions(self) -> "SessionManager":
+        """Live-schedule sessions behind ``op=stream`` — share the
+        service's cache (tenant re-solves and one-shot requests answer
+        each other), store (durable snapshots), and metrics
+        (``tenant.<id>.*`` gauges).  Built, and :mod:`repro.online`
+        imported, on first use: a server that never streams never
+        loads it."""
+        if self._sessions is None:
+            from repro.online.session import SessionManager
+
+            self._sessions = SessionManager(
+                store=self.store,
+                cache=self.cache,
+                metrics=self.metrics,
+                clock=self._clock,
+            )
+        return self._sessions
 
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
     async def handle(self, request: SolveRequest) -> SolveResult:
-        """Serve one request end to end (cache → admission → solve)."""
+        """Serve one request end to end (cache → admission → solve).
+
+        The request is validated into its instance and put into
+        canonical form once, here; every later step reuses both."""
         t0 = self._clock()
         self.metrics.counter("requests_total").inc()
         self.metrics.counter(f"requests.problem.{request.problem}").inc()
         try:
-            request.instance()  # eager structural validation
-            get_engine(request.engine, problem=request.problem)
+            instance = request.instance()  # eager structural validation
+            spec = get_engine(request.engine, problem=request.problem)
         except (UnknownEngineError, ValueError, TypeError) as exc:
             self.metrics.counter("requests_invalid").inc()
             return SolveResult(
@@ -201,8 +212,9 @@ class SolveService:
                 engine=request.engine,
                 error=str(exc),
             )
+        prepared = PreparedRequest(request, instance)
 
-        hit = self.cache.get(request)
+        hit = self.cache.get(prepared)
         if hit is not None:
             self.metrics.counter("cache_hits").inc()
             self.metrics.histogram("request_latency_seconds").observe(
@@ -216,7 +228,7 @@ class SolveService:
         # the leader instead of burning a worker on identical work, then
         # reads the freshly populated cache.  If the leader's answer was
         # not cacheable (degraded / failed), fall through and solve.
-        key = canonical_key(request)
+        key = prepared.key
         leader = key not in self._inflight
         if leader:
             self._inflight[key] = asyncio.get_running_loop().create_future()
@@ -228,7 +240,7 @@ class SolveService:
                 raise
             except Exception:
                 pass
-            hit = self.cache.get(request)
+            hit = self.cache.get(prepared)
             if hit is not None:
                 self.metrics.counter("cache_hits").inc()
                 self.metrics.histogram("request_latency_seconds").observe(
@@ -237,7 +249,7 @@ class SolveService:
                 return hit
 
         try:
-            return await self._admit_and_solve(request, t0)
+            return await self._admit_and_solve(prepared, spec, t0)
         finally:
             if leader:
                 waiters = self._inflight.pop(key)
@@ -260,10 +272,9 @@ class SolveService:
         return result
 
     async def _admit_and_solve(
-        self, request: SolveRequest, t0: float
+        self, prepared: PreparedRequest, spec: EngineSpec, t0: float
     ) -> SolveResult:
-        instance = request.instance()
-        spec = get_engine(request.engine, problem=request.problem)
+        request = prepared.request
         decision = self.admission.try_admit(request)
         if not decision.admitted:
             self.metrics.counter("requests_shed").inc()
@@ -280,9 +291,8 @@ class SolveService:
         )
         deadline_at = None if deadline is None else t0 + deadline
         job = _Job(
-            request=request,
+            prepared=prepared,
             spec=spec,
-            instance=instance,
             deadline_at=deadline_at,
             admitted_at=self._clock(),
             future=asyncio.get_running_loop().create_future(),
@@ -298,7 +308,7 @@ class SolveService:
         finally:
             self.admission.release(decision)
         if result.ok and not result.degraded:
-            self.cache.put(request, result)
+            self.cache.put(prepared, result)
         if entry is not None:
             self.journal.commit(entry)
         self.metrics.histogram("request_latency_seconds").observe(self._clock() - t0)
@@ -416,7 +426,9 @@ class SolveService:
             metrics=self.metrics,
         )
         try:
-            result = solve_to_result(request, ctx, clock=self._clock)
+            result = solve_instance(
+                spec, request, job.prepared.instance, ctx, self._clock
+            )
         except DeadlineExceeded:
             publish_phase_summary(tracer, self.metrics)
             return self._degrade(job)
@@ -429,14 +441,14 @@ class SolveService:
                 error=str(exc),
             )
         publish_phase_summary(tracer, self.metrics)
-        self._archive_trace(request, tracer)
+        self._archive_trace(job.prepared, tracer)
         return result
 
-    def _archive_trace(self, request: SolveRequest, tracer: Tracer) -> None:
+    def _archive_trace(self, prepared: PreparedRequest, tracer: Tracer) -> None:
         """Persist this solve's trace into the durable store (opt-in)."""
         if self.store is None or not self.archive_traces:
             return
-        name = request.request_id or canonical_key(request)
+        name = prepared.request.request_id or prepared.key
         try:
             self.store.archive_trace(str(name), trace_to_payload(tracer))
             self.metrics.counter("traces_archived").inc()
@@ -468,7 +480,10 @@ class SolveService:
         self.metrics.gauge("pool_utilization").set(
             self._busy_workers / self.max_workers
         )
-        self.metrics.gauge("stream_sessions").set(float(self.sessions.num_sessions))
+        sessions = self._sessions
+        self.metrics.gauge("stream_sessions").set(
+            float(sessions.num_sessions if sessions is not None else 0)
+        )
         return self.metrics.snapshot()
 
     def healthcheck(self) -> dict[str, Any]:

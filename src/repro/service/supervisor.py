@@ -44,11 +44,11 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.service.admission import AdmissionController
-from repro.service.cache import CacheKey
+from repro.service.cache import CacheKey, PreparedRequest, prepare
 from repro.service.metrics import MetricsRegistry, aggregate_pool_stats
 from repro.service.registry import (
     UnknownEngineError,
@@ -63,7 +63,7 @@ from repro.service.requests import (
     StreamRequest,
     StreamResult,
 )
-from repro.service.sharding import shard_index, shard_key, tenant_shard
+from repro.service.sharding import shard_index, tenant_shard
 from repro.service.worker import send_frame, worker_main
 
 __all__ = ["SupervisorPool", "PooledSolveService", "WorkerHandle"]
@@ -425,14 +425,20 @@ class SupervisorPool:
                 job.future.set_result(self._degrade_result(job.request))
 
     async def submit(
-        self, request: SolveRequest, *, deadline_at: float | None = None
+        self,
+        request: "SolveRequest | PreparedRequest",
+        *,
+        deadline_at: float | None = None,
     ) -> SolveResult:
         """Route *request* to its shard's worker and await the answer,
-        degrading supervisor-side if the deadline fires first."""
-        shard = shard_index(shard_key(request), self.num_workers)
+        degrading supervisor-side if the deadline fires first.  A
+        :class:`~repro.service.cache.PreparedRequest` routes on the
+        canonical key it already carries."""
+        prepared = prepare(request)
+        shard = shard_index(prepared.key, self.num_workers)
         job = _PoolJob(
             job_id=f"{next(self._seq):08d}",
-            request=request,
+            request=prepared.request,
             shard=shard,
             deadline_at=deadline_at,
             future=asyncio.get_running_loop().create_future(),
@@ -638,11 +644,12 @@ class PooledSolveService:
                 engine=request.engine,
                 error=str(exc),
             )
+        prepared = PreparedRequest(request)
 
         # Single-flight coalescing, trivially shard-aware: one canonical
         # key maps to one shard, so followers wait for the leader and
         # then submit — the worker's shard cache answers them instantly.
-        key = shard_key(request)
+        key = prepared.key
         leader = key not in self._inflight
         if leader:
             self._inflight[key] = asyncio.get_running_loop().create_future()
@@ -655,7 +662,7 @@ class PooledSolveService:
             except Exception:
                 pass
         try:
-            return await self._admit_and_solve(request, t0)
+            return await self._admit_and_solve(prepared, t0)
         finally:
             if leader:
                 waiter = self._inflight.pop(key)
@@ -663,8 +670,9 @@ class PooledSolveService:
                     waiter.set_result(None)
 
     async def _admit_and_solve(
-        self, request: SolveRequest, t0: float
+        self, prepared: PreparedRequest, t0: float
     ) -> SolveResult:
+        request = prepared.request
         decision = self.admission.try_admit(request)
         if not decision.admitted:
             self.metrics.counter("requests_shed").inc()
@@ -680,7 +688,7 @@ class PooledSolveService:
         )
         deadline_at = None if deadline is None else t0 + deadline
         try:
-            result = await self.pool.submit(request, deadline_at=deadline_at)
+            result = await self.pool.submit(prepared, deadline_at=deadline_at)
         finally:
             self.admission.release(decision)
         if result.cached:

@@ -59,12 +59,11 @@ import queue
 import signal
 import threading
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.context import SolveContext
 from repro.obs import Tracer, publish_phase_summary, trace_to_payload
-from repro.online.session import SessionManager
-from repro.service.cache import ResultCache, canonical_key
+from repro.service.cache import PreparedRequest, ResultCache
 from repro.service.metrics import (
     MetricsRegistry,
     record_dp_cache,
@@ -75,7 +74,7 @@ from repro.service.registry import (
     canonical_engine_name,
     fallback_result,
     get_engine,
-    solve_to_result,
+    solve_instance,
 )
 from repro.service.requests import (
     STATUS_ERROR,
@@ -85,6 +84,9 @@ from repro.service.requests import (
     StreamRequest,
     StreamResult,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.online.session import SessionManager
 
 __all__ = ["send_frame", "recv_frame", "worker_main"]
 
@@ -148,9 +150,19 @@ class _Worker:
             ttl=config.get("cache_ttl"),
             store=self.store,
         )
-        self.sessions = SessionManager(
-            store=self.store, cache=self.cache, metrics=self.metrics
-        )
+        self._sessions: "SessionManager | None" = None
+
+    @property
+    def sessions(self) -> "SessionManager":
+        """This shard's live-schedule sessions, built (and
+        :mod:`repro.online` imported) on the first stream event."""
+        if self._sessions is None:
+            from repro.online.session import SessionManager
+
+            self._sessions = SessionManager(
+                store=self.store, cache=self.cache, metrics=self.metrics
+            )
+        return self._sessions
 
     # -- plumbing --------------------------------------------------------
     def _reply(self, payload: dict[str, Any]) -> None:
@@ -213,7 +225,10 @@ class _Worker:
             record_stats_source(self.metrics, "journal", self.journal)
         record_dp_cache(self.metrics)
         self.metrics.gauge("worker_pid").set(float(os.getpid()))
-        self.metrics.gauge("stream_sessions").set(float(self.sessions.num_sessions))
+        sessions = self._sessions
+        self.metrics.gauge("stream_sessions").set(
+            float(sessions.num_sessions if sessions is not None else 0)
+        )
         return self.metrics.snapshot()
 
     # -- solve path ------------------------------------------------------
@@ -240,7 +255,7 @@ class _Worker:
             return
         try:
             request = SolveRequest.from_dict(msg["request"])
-            get_engine(request.engine, problem=request.problem)
+            spec = get_engine(request.engine, problem=request.problem)
         except (KeyError, ValueError, TypeError, UnknownEngineError) as exc:
             self.metrics.counter("errors_total").inc()
             self._reply(
@@ -258,7 +273,11 @@ class _Worker:
 
         t0 = self._clock()
         self.metrics.counter(f"requests.problem.{request.problem}").inc()
-        hit = self.cache.get(request)
+        # The supervisor validated the instance before routing here, so
+        # only the canonical form is prepared; the solve builds the
+        # instance (and reports a bad one as a solve error).
+        prepared = PreparedRequest(request)
+        hit = self.cache.get(prepared)
         if hit is not None:
             self.metrics.counter("cache_hits").inc()
             self._reply({"kind": "result", "id": rid, "result": hit.to_dict()})
@@ -275,7 +294,9 @@ class _Worker:
             metrics=self.metrics,
         )
         try:
-            result = solve_to_result(request, ctx, clock=self._clock)
+            result = solve_instance(
+                spec, request, request.instance(), ctx, self._clock
+            )
         except DeadlineExceeded:
             result = self._degrade(request)
         except Exception as exc:  # noqa: BLE001 - a bad solve must not kill the shard
@@ -291,8 +312,8 @@ class _Worker:
             )
         publish_phase_summary(tracer, self.metrics)
         if result.ok and not result.degraded:
-            self.cache.put(request, result)  # write-through to the store
-            self._archive_trace(request, tracer)
+            self.cache.put(prepared, result)  # write-through to the store
+            self._archive_trace(prepared, tracer)
         if entry is not None:
             self.journal.commit(entry)
         self.metrics.counter("solves_total").inc()
@@ -329,10 +350,10 @@ class _Worker:
             {"kind": "stream_result", "id": rid, "result": result.to_dict()}
         )
 
-    def _archive_trace(self, request: SolveRequest, tracer: Tracer) -> None:
+    def _archive_trace(self, prepared: PreparedRequest, tracer: Tracer) -> None:
         if self.store is None or not self.archive_traces:
             return
-        name = request.request_id or str(canonical_key(request))
+        name = prepared.request.request_id or str(prepared.key)
         try:
             self.store.archive_trace(str(name), trace_to_payload(tracer))
             self.metrics.counter("traces_archived").inc()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.configurations import (
+    _enumerate,
+    _enumerate_maximal,
     configuration_count_bound,
     enumerate_configurations,
     enumerate_maximal_configurations,
@@ -124,6 +127,50 @@ def test_property_enumeration_complete_and_sound(sizes, caps, target):
         if sum(s * x for s, x in zip(sizes, combo)) <= target
     }
     assert set(cs.configs) == expected
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=6)
+        ),
+        max_size=6,
+    ),
+    st.integers(min_value=0, max_value=80),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+)
+@settings(max_examples=300)
+def test_property_maximal_matches_is_maximal_filter(classes, target, max_jobs):
+    """The one-pass maximal enumeration equals filtering the full
+    enumeration with :func:`is_maximal`: same configurations, same order,
+    same weights (unsorted sizes included)."""
+    sizes = [size for size, _ in classes]
+    caps = [cap for _, cap in classes]
+    full = enumerate_configurations(
+        sizes, caps, target, include_zero=True, max_jobs=max_jobs
+    )
+    expected = [
+        (cfg, w)
+        for cfg, w in zip(full.configs, full.weights)
+        if any(cfg) and is_maximal(cfg, sizes, caps, target, max_jobs)
+    ]
+    got = enumerate_maximal_configurations(sizes, caps, target, max_jobs=max_jobs)
+    assert list(zip(got.configs, got.weights)) == expected
+
+
+@pytest.mark.parametrize("enumerate_fn", [_enumerate, _enumerate_maximal])
+def test_enumeration_leaves_no_garbage_cycles(enumerate_fn):
+    """An enumeration frees everything it built by reference counting
+    alone: with the collector off, nothing is left for it to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        configs = enumerate_fn((3, 5, 7, 11), (4, 3, 3, 2), 40, None)
+        assert configs
+        del configs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_count_bound_monotone():

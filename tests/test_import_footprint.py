@@ -1,10 +1,13 @@
 """Import footprints: serving the wire-default requests must not load
-numpy or scipy, and :func:`repro.solve` must not load the service.
+numpy, scipy or the online layer, and :func:`repro.solve` must not load
+the service.
 
 ``python -m repro serve`` imports :mod:`repro.cli` and
 :mod:`repro.service.server`; the PTAS with the wire-default
 ``dominance`` DP and both LPTs are pure Python, so numpy (about 12 MB
 resident) and scipy stay out of the server until a request needs them.
+Both front ends and the pool worker build their live-schedule sessions
+on the first ``op=stream`` event, so :mod:`repro.online` loads only then.
 :mod:`repro.service` exports lazily, so a library solve loads only the
 registry and the wire types, not the asyncio server, the process pool
 or the online layer.  Each check runs in a fresh interpreter, because
@@ -29,11 +32,15 @@ import asyncio, json, sys
 
 import repro.cli
 import repro.service.server
-from repro.service.requests import SolveRequest
+import repro.service.supervisor
+from repro.service.requests import SolveRequest, StreamRequest
 from repro.service.server import SolveService
 
 def loaded():
     return {name: name in sys.modules for name in ("numpy", "scipy")}
+
+def online():
+    return "repro.online" in sys.modules
 
 async def main():
     seen = {"import": loaded()}
@@ -46,6 +53,15 @@ async def main():
             assert res.ok and not res.degraded, res
         svc.stats()
         seen["served"] = loaded()
+        seen["online_served"] = online()
+        stream = [
+            StreamRequest(action="open_session", tenant="t", machines=2, persist=False),
+            StreamRequest(action="add_jobs", tenant="t", jobs=(("a", 5), ("b", 3), ("c", 4))),
+            StreamRequest(action="snapshot", tenant="t", persist=False),
+        ]
+        events = [await svc.handle_stream(event) for event in stream]
+        assert all(event.ok for event in events), events
+        seen["stream"] = [events[-1].num_jobs, events[-1].makespan, online()]
         res = await svc.handle(
             SolveRequest(times=(7, 7, 6, 6, 5, 4, 4, 3), machines=3, engine="ptas", dp_engine="numpy")
         )
@@ -74,6 +90,20 @@ print(json.dumps(seen))
 """
 
 
+WORKER_SCRIPT = """
+import json, sys
+
+from repro.service.worker import _Worker
+
+worker = _Worker(None, 0, {})
+worker.stats()
+seen = {"online_stats": "repro.online" in sys.modules}
+seen["sessions"] = worker.sessions.num_sessions
+seen["online_sessions"] = "repro.online" in sys.modules
+print(json.dumps(seen))
+"""
+
+
 def _run_fresh(script: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
@@ -92,6 +122,9 @@ def test_service_serves_default_requests_without_numpy():
     seen = _run_fresh(SCRIPT)
     assert seen["import"] == {"numpy": False, "scipy": False}
     assert seen["served"] == {"numpy": False, "scipy": False}
+    assert seen["online_served"] is False
+    # The first stream event loads the online layer, and the session works.
+    assert seen["stream"] == [3, 7, True]
     # The numpy DP engine still solves, importing numpy on first use.
     assert seen["numpy_engine"] == {"numpy": True, "scipy": False}
     request = SolveRequest(
@@ -108,3 +141,8 @@ def test_library_solve_does_not_load_the_service():
     ).makespan
     # The lazy exports still resolve on first access.
     assert seen["exports"] == ["repro.service.server", "repro.service.supervisor"]
+
+
+def test_pool_worker_builds_sessions_on_first_use():
+    seen = _run_fresh(WORKER_SCRIPT)
+    assert seen == {"online_stats": False, "sessions": 0, "online_sessions": True}

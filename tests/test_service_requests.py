@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.instance import Instance
 from repro.model.qinstance import QInstance, QSchedule
 from repro.service.requests import (
     PROTOCOL_VERSION,
     SUPPORTED_PROTOCOLS,
+    STREAM_ACTIONS,
     DeadlineExceeded,
     SolveRequest,
     SolveResult,
     StreamRequest,
+    StreamResult,
     deadline_checker,
 )
 
@@ -222,3 +229,139 @@ class TestWorkersAndMode:
     def test_rejects_non_positive_workers(self):
         with pytest.raises(ValueError, match=">= 1"):
             SolveRequest(times=(1,), machines=1, workers=0)
+
+
+# ---------------------------------------------------------------------------
+# The field-read codec against the dataclasses.asdict form it replaced
+# ---------------------------------------------------------------------------
+
+def _asdict_reference(obj) -> dict:
+    """The historical ``asdict``-based ``to_dict`` of each wire type."""
+    d = asdict(obj)
+    if isinstance(obj, SolveRequest):
+        d["times"] = list(obj.times)
+    elif isinstance(obj, SolveResult):
+        if obj.assignment is not None:
+            d["assignment"] = [list(grp) for grp in obj.assignment]
+    elif isinstance(obj, StreamRequest):
+        d["op"] = "stream"
+        d["jobs"] = [[j, t] for j, t in obj.jobs]
+        d["job_ids"] = list(obj.job_ids)
+    else:
+        d["op"] = "stream"
+    return d
+
+
+def _shape(value):
+    """*value*'s structure down to the type of every leaf."""
+    if isinstance(value, dict):
+        return (dict, [(key, _shape(v)) for key, v in value.items()])
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_shape(v) for v in value])
+    return type(value)
+
+
+_text = st.text(max_size=8)
+_num = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+_maybe_num = st.none() | _num
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | _num | _text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _solve_requests(draw) -> SolveRequest:
+    machines = draw(st.integers(1, 6))
+    q = draw(st.booleans())
+    return SolveRequest(
+        times=tuple(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=12))),
+        machines=machines,
+        problem="q_cmax" if q else "p_cmax",
+        speeds=(
+            tuple(draw(st.lists(st.integers(1, 9), min_size=machines, max_size=machines)))
+            if q
+            else ()
+        ),
+        protocol=2 if q else draw(st.sampled_from(SUPPORTED_PROTOCOLS)),
+        engine=draw(_text),
+        eps=draw(st.floats(min_value=1e-3, max_value=2.0)),
+        deadline=draw(_maybe_num),
+        dp_engine=draw(_text),
+        workers=draw(st.integers(1, 64) | st.just("auto")),
+        backend=draw(_text),
+        mode=draw(_text),
+        time_limit=draw(_maybe_num),
+        request_id=draw(_text),
+    )
+
+
+_solve_results = st.builds(
+    SolveResult,
+    request_id=_text,
+    status=st.sampled_from(["ok", "rejected", "error"]),
+    engine=_text,
+    makespan=st.none() | st.integers(0, 10**9) | _num,
+    assignment=st.none()
+    | st.lists(st.lists(st.integers(0, 99), max_size=5), max_size=4),
+    guarantee=_maybe_num,
+    degraded=st.booleans(),
+    cached=st.booleans(),
+    elapsed=_num,
+    retry_after=_maybe_num,
+    error=st.none() | _text,
+)
+
+_stream_requests = st.builds(
+    StreamRequest,
+    action=st.sampled_from(STREAM_ACTIONS),
+    tenant=st.text(min_size=1, max_size=8),
+    machines=st.integers(1, 8),
+    protocol=st.sampled_from(SUPPORTED_PROTOCOLS),
+    eps=st.floats(min_value=1e-3, max_value=2.0),
+    engine=_text,
+    dp_engine=_text,
+    drift_threshold=st.none() | st.floats(min_value=1.0, max_value=10.0),
+    jobs=st.lists(st.tuples(_text, st.integers(1, 1000)), max_size=4),
+    job_ids=st.lists(_text, max_size=4),
+    persist=st.booleans(),
+    request_id=_text,
+)
+
+_stream_results = st.builds(
+    StreamResult,
+    request_id=_text,
+    tenant=_text,
+    action=_text,
+    status=st.sampled_from(["ok", "error"]),
+    makespan=st.none() | st.integers(0, 10**9),
+    ratio=_maybe_num,
+    resolves=st.integers(0, 100),
+    repairs=st.integers(0, 100),
+    num_jobs=st.integers(0, 100),
+    restored=st.booleans(),
+    snapshot=st.none() | st.dictionaries(_text, _json, max_size=4),
+    error=st.none() | _text,
+)
+
+
+@given(_solve_requests() | _solve_results | _stream_requests | _stream_results)
+@settings(max_examples=300)
+def test_property_field_read_codec_matches_asdict(obj):
+    """``to_dict`` reads fields directly, yet equals the ``asdict`` form
+    key for key, in order and type; ``to_json`` bytes are identical."""
+    reference = _asdict_reference(obj)
+    encoded = obj.to_dict()
+    assert encoded == reference
+    assert _shape(encoded) == _shape(reference)
+    assert obj.to_json() == json.dumps(reference, separators=(",", ":"))
+
+
+def test_stream_result_to_dict_copies_the_snapshot():
+    snapshot = {"jobs": [["a", 3]], "meta": {"m": 2}}
+    result = StreamResult(tenant="t", action="snapshot", snapshot=snapshot)
+    encoded = result.to_dict()
+    encoded["snapshot"]["meta"]["m"] = 99
+    assert result.snapshot == {"jobs": [["a", 3]], "meta": {"m": 2}}

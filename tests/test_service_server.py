@@ -43,6 +43,52 @@ def _req(times, machines=3, engine="lpt", **kwargs) -> SolveRequest:
     return SolveRequest(times=tuple(times), machines=machines, engine=engine, **kwargs)
 
 
+class TestPreparedOnce:
+    """A request is validated into its instance and put into canonical
+    form once: the cache, single-flight and the solve reuse both."""
+
+    def test_miss_builds_one_instance_and_sorts_once_and_hit_sorts_once(
+        self, monkeypatch
+    ):
+        import repro.service.cache as cache_module
+
+        times = (9, 3, 7, 3, 8, 1, 6, 5, 2, 4)
+        permuted = (3, 9, 1, 7, 8, 3, 2, 6, 4, 5)
+        built: list[tuple[int, ...]] = []
+        sorts: list[object] = []
+        real_init = Instance.__init__
+
+        def counting_init(self, processing_times, num_machines):
+            real_init(self, processing_times, num_machines)
+            built.append(self.processing_times)
+
+        def counting_sorted(iterable, *args, **kwargs):
+            # The times themselves, or the job indices ordered by them.
+            if iterable in (times, permuted, range(len(times))):
+                sorts.append(iterable)
+            return sorted(iterable, *args, **kwargs)
+
+        monkeypatch.setattr(Instance, "__init__", counting_init)
+        monkeypatch.setattr(cache_module, "sorted", counting_sorted, raising=False)
+
+        async def scenario():
+            svc = SolveService(max_workers=1)
+            try:
+                miss = await svc.handle(_req(times, engine="ptas"))
+                counts = (built.count(times), len(sorts))
+                hit = await svc.handle(_req(permuted, engine="ptas"))
+            finally:
+                await _closed(svc)
+            return miss, counts, hit
+
+        miss, (miss_instances, miss_sorts), hit = run(scenario())
+        assert miss.ok and not miss.cached
+        assert (miss_instances, miss_sorts) == (1, 1)
+        assert hit.ok and hit.cached
+        assert len(sorts) - miss_sorts == 1
+        assert built.count(permuted) == 1  # validation only; nothing solved
+
+
 class TestHandle:
     def test_solves_and_reports_guarantee(self):
         async def scenario():
