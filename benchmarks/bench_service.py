@@ -12,9 +12,10 @@ launched as a real ``repro-pcmax serve`` subprocess and driven over TCP
 by a fixed number of client connections, each with one request in
 flight:
 
-* ``single`` — the one-process :class:`repro.service.SolveService`
-  (solves share the supervisor's GIL);
-* ``pool`` — ``--pool-workers auto`` (:mod:`repro.service.supervisor`),
+* ``single`` — :class:`repro.service.SolveService` over its thread
+  lane (solves share the front end's GIL);
+* ``pool`` — ``--pool-workers auto``, the same front end over the
+  process lane (:mod:`repro.service.supervisor`),
   N = :func:`repro.parallel.cpus.usable_cpus` worker processes sharded
   by the canonical instance key.
 

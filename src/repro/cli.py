@@ -437,7 +437,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service.admission import AdmissionController
-    from repro.service.server import serve
+    from repro.service.server import SolveService, serve
 
     pool_workers = (
         resolve_workers(args.pool_workers)
@@ -446,42 +446,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.store:
         _recover_store_offline(args.store, args.store_ttl)
+    # One serve configuration: the thread lane builds its solve path
+    # from it in this process, each pool worker in its own.
+    config = dict(
+        store_root=args.store,
+        store_ttl=args.store_ttl,
+        cache_size=args.cache_size,
+        cache_ttl=args.cache_ttl,
+        archive_traces=args.archive_traces,
+    )
     if pool_workers >= 1:
-        # Sharded multi-process pool (docs/scaling.md): N solver worker
-        # processes behind the same JSON-lines front end.
-        from repro.service.supervisor import PooledSolveService
+        # Sharded multi-process pool (docs/scaling.md).
+        from repro.service.supervisor import SupervisorPool
 
-        service = PooledSolveService(
-            pool_workers,
-            admission=AdmissionController(max_queue_depth=args.queue_depth),
-            default_deadline=args.default_deadline,
-            store_root=args.store,
-            store_ttl=args.store_ttl,
-            cache_size=args.cache_size,
-            cache_ttl=args.cache_ttl,
-            archive_traces=args.archive_traces,
-        )
+        lane = SupervisorPool(pool_workers, **config)
     else:
-        from repro.service.cache import ResultCache
-        from repro.service.server import SolveService
+        from repro.service.server import ThreadLane
+        from repro.service.solvepath import SolvePath
 
-        store = journal = None
-        if args.store:
-            from repro.store import ResultStore, WriteAheadJournal
-
-            store = ResultStore(args.store, ttl=args.store_ttl)
-            journal = WriteAheadJournal(args.store)
-        service = SolveService(
-            max_workers=resolve_workers(args.workers),
-            default_deadline=args.default_deadline,
-            cache=ResultCache(
-                max_entries=args.cache_size, ttl=args.cache_ttl, store=store
-            ),
-            admission=AdmissionController(max_queue_depth=args.queue_depth),
-            store=store,
-            journal=journal,
-            archive_traces=args.archive_traces,
+        lane = ThreadLane(
+            SolvePath.open(**config), max_workers=resolve_workers(args.workers)
         )
+    service = SolveService(
+        lane,
+        admission=AdmissionController(max_queue_depth=args.queue_depth),
+        default_deadline=args.default_deadline,
+    )
 
     def ready(host: str, port: int) -> None:
         suffix = f" (pool: {pool_workers} workers)" if pool_workers >= 1 else ""

@@ -481,7 +481,7 @@ def service_equivalence_violations(
 
     from repro.service.cache import canonicalize_result
     from repro.service.registry import solve_to_result
-    from repro.service.server import SolveService, start_server, submit
+    from repro.service.server import SolveService, ThreadLane, start_server, submit
 
     request = build_request(instance, engine, eps)
     try:
@@ -495,7 +495,7 @@ def service_equivalence_violations(
         ]
 
     async def round_trip():
-        service = SolveService(max_workers=1)
+        service = SolveService(ThreadLane(max_workers=1))
         try:
             server = await start_server(service, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]

@@ -13,15 +13,21 @@ The subsystem turns the one-shot solvers into an asyncio service:
   driven by a :mod:`repro.simcore.costmodel` work estimate.
 * :mod:`repro.service.metrics` — counters / gauges / histograms plus the
   DP configuration-cache statistics.
-* :mod:`repro.service.server` — the asyncio JSON-lines front-end with
-  dispatch on a free executor slot (batching only what queued while
-  every slot was busy) and deadline-triggered degradation to LPT.
+* :mod:`repro.service.server` — the asyncio JSON-lines front end: one
+  :class:`SolveService` (validation, single-flight, admission, deadline
+  arithmetic, metrics) over an execution lane.  Its default lane,
+  :class:`ThreadLane`, dispatches on a free executor slot (batching only
+  what queued while every slot was busy).
+* :mod:`repro.service.supervisor` / :mod:`repro.service.worker` — the
+  other lane, :class:`SupervisorPool` (``repro-pcmax serve
+  --pool-workers N``): N worker processes, crash-respawned, each owning
+  one shard of the key space — see ``docs/scaling.md``.
+* :mod:`repro.service.solvepath` — the one per-request solve path both
+  lanes run: cache → journal → traced solve (LPT fallback on a
+  deadline, an error result on an engine failure) → cache put → trace
+  archive → commit.
 * :mod:`repro.service.sharding` — canonical-key shard routing for the
-  multi-process pool.
-* :mod:`repro.service.worker` / :mod:`repro.service.supervisor` — the
-  sharded solver pool (``repro-pcmax serve --pool-workers N``): N worker
-  processes behind the same front-end, crash-respawned, each owning one
-  shard of the key space — see ``docs/scaling.md``.
+  process lane.
 
 Durability is layered underneath by :mod:`repro.store` (opt-in via
 ``repro-pcmax serve --store DIR``): the cache gains a disk tier, every
@@ -61,6 +67,7 @@ _EXPORTS: dict[str, str] = {
     "StreamRequest": "requests",
     "StreamResult": "requests",
     "SolveService": "server",
+    "ThreadLane": "server",
     "serve": "server",
     "stream_events": "server",
     "submit": "server",
@@ -68,8 +75,8 @@ _EXPORTS: dict[str, str] = {
     "shard_key": "sharding",
     "shard_of_request": "sharding",
     "tenant_shard": "sharding",
-    "PooledSolveService": "supervisor",
     "SupervisorPool": "supervisor",
+    "SolvePath": "solvepath",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,14 +106,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         StreamRequest,
         StreamResult,
     )
-    from repro.service.server import SolveService, serve, stream_events, submit
+    from repro.service.server import (
+        SolveService,
+        ThreadLane,
+        serve,
+        stream_events,
+        submit,
+    )
     from repro.service.sharding import (
         shard_index,
         shard_key,
         shard_of_request,
         tenant_shard,
     )
-    from repro.service.supervisor import PooledSolveService, SupervisorPool
+    from repro.service.solvepath import SolvePath
+    from repro.service.supervisor import SupervisorPool
 
 
 def __getattr__(name: str) -> Any:
@@ -146,6 +160,7 @@ __all__ = [
     "StreamRequest",
     "StreamResult",
     "SolveService",
+    "ThreadLane",
     "serve",
     "stream_events",
     "submit",
@@ -153,6 +168,6 @@ __all__ = [
     "shard_key",
     "shard_of_request",
     "tenant_shard",
-    "PooledSolveService",
     "SupervisorPool",
+    "SolvePath",
 ]

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -64,7 +63,6 @@ from repro.service.requests import STATUS_OK, SolveResult, deadline_checker
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.requests import SolveRequest
 
-CheckDeadline = Callable[[], None]
 SolverFn = Callable[
     ["Instance | QInstance", "SolveRequest", "SolveContext | None"],
     "Schedule | QSchedule",
@@ -95,20 +93,6 @@ def build_solve_context(
     if tracer is not None:
         kwargs["tracer"] = tracer
     return SolveContext(**kwargs)
-
-
-def _coerce_ctx(ctx: "SolveContext | CheckDeadline | None") -> SolveContext | None:
-    """Accept the legacy bare ``check_deadline`` callable in the third
-    adapter slot, warning and wrapping it into a context."""
-    if ctx is None or isinstance(ctx, SolveContext):
-        return ctx
-    warnings.warn(
-        "passing a bare check_deadline callable to an engine adapter is "
-        "deprecated; pass a SolveContext (see build_solve_context)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SolveContext(check_deadline=ctx)
 
 
 class UnknownEngineError(ValueError):
@@ -162,7 +146,7 @@ class EngineSpec:
 def _solve_ptas(
     instance: Instance,
     request: "SolveRequest",
-    ctx: "SolveContext | CheckDeadline | None",
+    ctx: "SolveContext | None",
 ) -> Schedule:
     if request.dp_engine not in SEQUENTIAL_ENGINES:
         raise UnknownEngineError(
@@ -173,14 +157,14 @@ def _solve_ptas(
         instance,
         request.eps,
         engine=request.dp_engine,
-        ctx=_coerce_ctx(ctx),
+        ctx=ctx,
     ).schedule
 
 
 def _solve_parallel_ptas(
     instance: Instance,
     request: "SolveRequest",
-    ctx: "SolveContext | CheckDeadline | None",
+    ctx: "SolveContext | None",
 ) -> Schedule:
     if request.backend not in BACKENDS:
         raise UnknownEngineError(
@@ -198,7 +182,7 @@ def _solve_parallel_ptas(
         num_workers=resolve_workers(request.workers),
         backend=request.backend,
         mode=request.mode,
-        ctx=_coerce_ctx(ctx),
+        ctx=ctx,
     ).schedule
 
 
@@ -206,7 +190,7 @@ def _solve_exact(method: str) -> SolverFn:
     def run(
         instance: Instance,
         request: "SolveRequest",
-        ctx: "SolveContext | CheckDeadline | None",
+        ctx: "SolveContext | None",
     ) -> Schedule:
         from repro.exact.api import solve_exact
 
@@ -224,7 +208,7 @@ def _solve_baseline(
     def run(
         instance: "Instance | QInstance",
         request: "SolveRequest",
-        ctx: "SolveContext | CheckDeadline | None",
+        ctx: "SolveContext | None",
     ) -> "Schedule | QSchedule":
         if isinstance(instance, QInstance):
             if q_fn is None:  # pragma: no cover - capability check runs first
@@ -354,8 +338,8 @@ def solve_to_result(
     """Solve *request* synchronously through its registered engine.
 
     The one blocking solve-to-wire-type path, shared by the service's
-    worker threads and the journal replay of
-    :mod:`repro.store.recovery`: resolve the engine, run it under *ctx*,
+    solve path (through :func:`solve_instance`) and the journal replay
+    of :mod:`repro.store.recovery`: resolve the engine, run it under *ctx*,
     and wrap the schedule in an ``ok`` :class:`SolveResult` carrying the
     engine's declared guarantee.  Engine errors propagate — callers own
     the degrade/abort policy.
@@ -393,10 +377,10 @@ def fallback_result(
     for ``p_cmax``, speed-scaled LPT for ``q_cmax``, each tagged with
     its own worst-case guarantee.
 
-    This is the one degrade path shared by the server's deadline
-    handling, the pooled front-end's dead-worker replacement, and the
-    worker processes — so "what do we answer when the real engine
-    can't" stays consistent (and problem-correct) everywhere.
+    This is the one degrade path shared by the solve path's deadline
+    handling and the lanes' abandoned and dead-worker requests — so
+    "what do we answer when the real engine can't" stays consistent
+    (and problem-correct) everywhere.
     """
     from repro.model.problem import get_problem
 

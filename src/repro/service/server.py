@@ -1,31 +1,38 @@
-"""The asyncio scheduling service: JSON-lines front-end over the solvers.
+"""The asyncio scheduling service: one front end over two execution lanes.
 
 Architecture (see ``docs/service.md`` for the full reference)::
 
     client ──JSON line──▶ connection handler ──▶ SolveService.handle
-                                                   │ 1. result cache
-                                                   │ 2. admission gate
-                                                   │ 3. slot dispatcher (small;
-                                                   │    batches only what queued
-                                                   │    while all slots were busy)
-                                                   │    or direct dispatch
+                                                   │ validate + prepare once
+                                                   │ lane.lookup (cache hit?)
+                                                   │ single-flight
+                                                   │ admission gate
+                                                   │ deadline arithmetic
                                                    ▼
-                                        ThreadPoolExecutor workers
-                                          └─ registry engines; parallel
-                                             PTAS draws its wavefront
-                                             workers from the persistent
-                                             reusable pools of
-                                             repro.parallel.executor
+                                     lane.solve(prepared, spec, deadline_at)
+                        ┌──────────────────────────┴──────────────────────┐
+             ThreadLane (default)                         SupervisorPool (--pool-workers N)
+             slot dispatcher → executor thread            shard → worker process
+                        └──────── SolvePath: cache → journal → solve ─────┘
 
-Requests are solved off the event loop via ``run_in_executor``; the
-event loop only parses, batches, and enforces deadlines.  Small
-requests (at most ``batch_max_jobs`` jobs, not an exact engine) go out
-the moment an executor slot is free — in the same event-loop turn when
-a worker is idle.  Only what queues while every slot is busy forms
-batches: when a slot frees, the oldest queued request ships together
-with every *compatible* queued request (same problem, engine and
-``eps``), up to ``batch_max_size``, as one executor call.  Nothing ever
-waits on a timer.  Heavy solves dispatch individually.
+:class:`SolveService` owns everything that does not depend on where a
+solve runs: validation, single-flight, admission, deadline arithmetic,
+the ``cache_hits`` / ``degradations_total`` / latency instruments, and
+the lifecycle.  It never asks which lane it holds.  A lane answers
+:meth:`~Lane.lookup` (the thread lane serves memory and disk hits on the
+event loop; the process lane returns ``None``, so hits stay in the
+owning worker), :meth:`~Lane.solve` and :meth:`~Lane.solve_stream`, and
+reports :meth:`~Lane.stats` and :meth:`~Lane.healthcheck`.  Both lanes
+run the same per-request :class:`~repro.service.solvepath.SolvePath`.
+
+The thread lane dispatches small requests (at most ``batch_max_jobs``
+jobs, not an exact engine) the moment an executor slot is free — in the
+same event-loop turn when a worker is idle.  Only what queues while
+every slot is busy forms batches: when a slot frees, the oldest queued
+request ships together with every *compatible* queued request (same
+problem, engine and ``eps``), up to ``batch_max_size``, as one executor
+call.  Nothing ever waits on a timer.  Heavy solves dispatch
+individually.
 
 Graceful degradation: a request with a ``deadline`` gets a deadline hook
 threaded into the PTAS bisection through its per-request
@@ -33,162 +40,115 @@ threaded into the PTAS bisection through its per-request
 the deadline fires, the service returns the LPT schedule for the same
 instance tagged ``degraded=true`` with Graham's ``4/3 - 1/(3m)``
 guarantee — a worse bound, never a timeout.  Engines that cannot be
-cancelled (the exact solvers) are abandoned in their worker thread and
-degraded from the event loop.
-
-Observability: every deadline-capable solve runs under a fresh
-:class:`repro.obs.Tracer`; its per-phase summary (probe / dp / level /
-… wall time and counters) is folded into the metrics registry after each
-request, so ``{"op": "stats"}`` exposes ``trace.phase.<kind>.seconds``
-histograms alongside the service counters.
-
-Durability (opt-in, see ``docs/persistence.md``): with a
-:class:`repro.store.ResultStore` and :class:`repro.store.WriteAheadJournal`
-attached, the cache reads/writes through to disk, every admitted request
-is journaled before solving and committed after answering, SIGTERM /
-SIGINT shut down through the same graceful path as the ``shutdown`` op,
-and traces can be archived next to the results they explain.
+cancelled (the exact solvers) are abandoned by their lane and degraded
+from the event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
+import contextlib
+import functools
 import json
 import signal
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, AsyncIterator, Awaitable, Callable, Protocol
 
 from repro.service.admission import AdmissionController
-from repro.service.cache import CacheKey, PreparedRequest, ResultCache
-from repro.service.metrics import (
-    MetricsRegistry,
-    record_dp_cache,
-    record_stats_source,
-)
-from repro.obs import Tracer, publish_phase_summary, trace_to_payload
+from repro.service.cache import CacheKey, PreparedRequest
+from repro.service.metrics import MetricsRegistry
 from repro.service.registry import (
     EngineSpec,
     UnknownEngineError,
-    build_solve_context,
     fallback_result,
     get_engine,
-    solve_instance,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.online.session import SessionManager
-    from repro.service.supervisor import PooledSolveService
-    from repro.store.journal import WriteAheadJournal
-    from repro.store.resultstore import ResultStore
 from repro.service.requests import (
     STATUS_ERROR,
     STATUS_REJECTED,
-    DeadlineExceeded,
     SolveRequest,
     SolveResult,
     StreamRequest,
     StreamResult,
+    deadline_checker,
 )
+from repro.service.solvepath import SolvePath
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.supervisor import SupervisorPool
 
 #: Default TCP port (no registered meaning; "Cmax" on a phone keypad-ish).
 DEFAULT_PORT = 8357
 
 
-@dataclass
-class _Job:
-    """One admitted request travelling through the dispatch machinery."""
+class Lane(Protocol):
+    """Where solves run: :class:`ThreadLane` or
+    :class:`~repro.service.supervisor.SupervisorPool`."""
 
-    prepared: PreparedRequest
-    spec: EngineSpec
-    deadline_at: float | None
-    admitted_at: float
-    future: "asyncio.Future[SolveResult]"
+    metrics: MetricsRegistry
+    clock: Callable[[], float]
 
-    @property
-    def request(self) -> SolveRequest:
-        return self.prepared.request
+    async def start(self) -> None:
+        """Make the lane ready to solve (idempotent)."""
 
-    @property
-    def batch_key(self) -> tuple[str, str, float]:
-        return (self.request.problem, self.spec.name, self.request.eps)
+    def lookup(self, prepared: PreparedRequest) -> SolveResult | None:
+        """A cached answer served on the event loop, or ``None``."""
+
+    async def solve(
+        self, prepared: PreparedRequest, spec: EngineSpec, deadline_at: float | None
+    ) -> SolveResult:
+        """Answer a miss: solved, degraded at *deadline_at*, or an error."""
+
+    async def solve_stream(self, request: StreamRequest) -> StreamResult:
+        """Apply one live-schedule event in its tenant's order."""
+
+    async def stats(self) -> dict[str, Any]:
+        """The lane's ``op=stats`` snapshot of the shared registry."""
+
+    async def healthcheck(self) -> dict[str, Any]:
+        """The lane's ``op=healthcheck`` payload."""
+
+    async def aclose(self) -> None:
+        """Finish or cancel in-flight work and release the lane."""
 
 
 class SolveService:
-    """Request orchestrator: cache → admission → batch/dispatch → degrade.
+    """The front end: validate → cache → single-flight → admission →
+    lane → degrade, over any :class:`Lane` (default: a fresh
+    :class:`ThreadLane`).
 
     The service is transport-agnostic — :meth:`handle` takes a
     :class:`SolveRequest` and returns a :class:`SolveResult`; the
     JSON-lines TCP front-end (:func:`start_server` / :func:`serve`) is
     one thin consumer, and tests or in-process callers are another.
+    It records into the lane's metrics registry on the lane's clock.
     """
 
     def __init__(
         self,
+        lane: "ThreadLane | SupervisorPool | None" = None,
         *,
-        cache: ResultCache | None = None,
         admission: AdmissionController | None = None,
-        metrics: MetricsRegistry | None = None,
-        max_workers: int = 4,
-        batch_max_size: int = 16,
-        batch_max_jobs: int = 64,
         default_deadline: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        store: "ResultStore | None" = None,
-        journal: "WriteAheadJournal | None" = None,
-        archive_traces: bool = False,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if batch_max_size < 1:
-            raise ValueError("batch_max_size must be >= 1")
-        self.cache = cache if cache is not None else ResultCache()
-        self.store = store
-        self.journal = journal
-        self.archive_traces = archive_traces
-        if store is not None and self.cache.store is None:
-            # Wire the durable tier under the memory cache so hits flow
-            # memory → disk → solve without the caller doing it by hand.
-            self.cache.store = store
+        self.lane: Lane = lane if lane is not None else ThreadLane()
+        self.metrics = self.lane.metrics
         self.admission = admission if admission is not None else AdmissionController()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.max_workers = max_workers
-        self.batch_max_size = batch_max_size
-        self.batch_max_jobs = batch_max_jobs
         self.default_deadline = default_deadline
-        self._clock = clock
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-solve"
-        )
-        #: Small jobs waiting for a free executor slot, oldest first.
-        self._queued: deque[_Job] = deque()
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._clock = self.lane.clock
+        self._started: asyncio.Future[None] | None = None
         self._shutdown_event: asyncio.Event | None = None
-        self._busy_workers = 0
         self._inflight: dict[CacheKey, asyncio.Future[None]] = {}
-        self._sessions: "SessionManager | None" = None
 
-    @property
-    def sessions(self) -> "SessionManager":
-        """Live-schedule sessions behind ``op=stream`` — share the
-        service's cache (tenant re-solves and one-shot requests answer
-        each other), store (durable snapshots), and metrics
-        (``tenant.<id>.*`` gauges).  Built, and :mod:`repro.online`
-        imported, on first use: a server that never streams never
-        loads it."""
-        if self._sessions is None:
-            from repro.online.session import SessionManager
-
-            self._sessions = SessionManager(
-                store=self.store,
-                cache=self.cache,
-                metrics=self.metrics,
-                clock=self._clock,
-            )
-        return self._sessions
+    async def start(self) -> None:
+        """Start the lane once (a pool spawns its workers here); the
+        first request calls this too."""
+        if self._started is None:
+            self._started = asyncio.ensure_future(self.lane.start())
+        await self._started
 
     # ------------------------------------------------------------------
     # Request path
@@ -198,6 +158,7 @@ class SolveService:
 
         The request is validated into its instance and put into
         canonical form once, here; every later step reuses both."""
+        await self.start()
         t0 = self._clock()
         self.metrics.counter("requests_total").inc()
         self.metrics.counter(f"requests.problem.{request.problem}").inc()
@@ -214,20 +175,16 @@ class SolveService:
             )
         prepared = PreparedRequest(request, instance)
 
-        hit = self.cache.get(prepared)
+        hit = self.lane.lookup(prepared)
         if hit is not None:
-            self.metrics.counter("cache_hits").inc()
-            self.metrics.histogram("request_latency_seconds").observe(
-                self._clock() - t0
-            )
-            return hit
-        self.metrics.counter("cache_misses").inc()
+            return self._answer(hit, t0)
 
         # Single-flight coalescing: a concurrent duplicate (same
         # canonical key — a thundering herd of permuted twins) waits for
         # the leader instead of burning a worker on identical work, then
-        # reads the freshly populated cache.  If the leader's answer was
-        # not cacheable (degraded / failed), fall through and solve.
+        # looks up again (one key maps to one shard, so in a pool the
+        # owning worker's cache answers it).  If the leader's answer was
+        # not cacheable (degraded / failed), the follower solves.
         key = prepared.key
         leader = key not in self._inflight
         if leader:
@@ -240,13 +197,9 @@ class SolveService:
                 raise
             except Exception:
                 pass
-            hit = self.cache.get(prepared)
+            hit = self.lane.lookup(prepared)
             if hit is not None:
-                self.metrics.counter("cache_hits").inc()
-                self.metrics.histogram("request_latency_seconds").observe(
-                    self._clock() - t0
-                )
-                return hit
+                return self._answer(hit, t0)
 
         try:
             return await self._admit_and_solve(prepared, spec, t0)
@@ -255,21 +208,6 @@ class SolveService:
                 waiters = self._inflight.pop(key)
                 if not waiters.done():
                     waiters.set_result(None)
-
-    async def handle_stream(self, request: StreamRequest) -> StreamResult:
-        """Serve one live-schedule event (``op=stream``).
-
-        The session manager serializes events internally; running
-        ``apply`` in the executor keeps any drift-triggered PTAS
-        re-solve off the event loop, exactly like a one-shot solve.
-        """
-        self.metrics.counter("stream_events_total").inc()
-        result = await asyncio.get_running_loop().run_in_executor(
-            self._executor, self.sessions.apply, request
-        )
-        if not result.ok:
-            self.metrics.counter("stream_errors").inc()
-        return result
 
     async def _admit_and_solve(
         self, prepared: PreparedRequest, spec: EngineSpec, t0: float
@@ -285,34 +223,142 @@ class SolveService:
                 retry_after=decision.retry_after,
                 error=decision.reason,
             )
-
         deadline = (
             request.deadline if request.deadline is not None else self.default_deadline
         )
         deadline_at = None if deadline is None else t0 + deadline
+        try:
+            result = await self.lane.solve(prepared, spec, deadline_at)
+        finally:
+            self.admission.release(decision)
+        return self._answer(result, t0)
+
+    def _answer(self, result: SolveResult, t0: float) -> SolveResult:
+        """Count an answer the client is about to get."""
+        if result.cached:
+            self.metrics.counter("cache_hits").inc()
+        if result.degraded:
+            self.metrics.counter("degradations_total").inc()
+        self.metrics.histogram("request_latency_seconds").observe(self._clock() - t0)
+        return result
+
+    async def handle_stream(self, request: StreamRequest) -> StreamResult:
+        """Serve one live-schedule event (``op=stream``): the lane keeps
+        a tenant's events in arrival order and any drift-triggered PTAS
+        re-solve off the event loop, exactly like a one-shot solve."""
+        await self.start()
+        self.metrics.counter("stream_events_total").inc()
+        result = await self.lane.solve_stream(request)
+        if not result.ok:
+            self.metrics.counter("stream_errors").inc()
+        return result
+
+    # ------------------------------------------------------------------
+    # Introspection and lifecycle
+    # ------------------------------------------------------------------
+    async def stats(self) -> dict[str, Any]:
+        """The ``{"op": "stats"}`` payload: every subsystem's counters."""
+        self.metrics.set_many(
+            "admission", {k: float(v) for k, v in self.admission.stats().items()}
+        )
+        return await self.lane.stats()
+
+    async def healthcheck(self) -> dict[str, Any]:
+        """The ``{"op": "healthcheck"}`` payload."""
+        await self.start()
+        return await self.lane.healthcheck()
+
+    def request_shutdown(self) -> None:
+        """Ask :func:`serve` to wind down (set by the ``shutdown`` op)."""
+        if self._shutdown_event is not None:
+            self._shutdown_event.set()
+
+    async def aclose(self) -> None:
+        """Release the lane; a clean exit leaves every journal empty and
+        every segment closed."""
+        await self.lane.aclose()
+
+
+# ---------------------------------------------------------------------------
+# Thread lane
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Job:
+    """One admitted request travelling through the slot dispatcher."""
+
+    prepared: PreparedRequest
+    spec: EngineSpec
+    deadline_at: float | None
+    admitted_at: float
+    future: "asyncio.Future[SolveResult]"
+
+    @property
+    def request(self) -> SolveRequest:
+        return self.prepared.request
+
+    @property
+    def batch_key(self) -> tuple[str, str, float]:
+        return (self.request.problem, self.spec.name, self.request.eps)
+
+
+class ThreadLane:
+    """The in-process lane: a slot dispatcher over a thread pool whose
+    threads run one :class:`SolvePath` (default: memory cache only)."""
+
+    def __init__(
+        self,
+        path: SolvePath | None = None,
+        *,
+        max_workers: int = 4,
+        batch_max_size: int = 16,
+        batch_max_jobs: int = 64,
+    ) -> None:
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
+        if batch_max_size < 1:
+            raise ValueError("batch_max_size must be >= 1")
+        self.path = path if path is not None else SolvePath()
+        self.metrics = self.path.metrics
+        self.clock = self.path.clock
+        self.max_workers = max_workers
+        self.batch_max_size = batch_max_size
+        self.batch_max_jobs = batch_max_jobs
+        self._executor = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="repro-solve"
+        )
+        #: Small jobs waiting for a free executor slot, oldest first.
+        self._queued: deque[_Job] = deque()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._busy_workers = 0
+
+    async def start(self) -> None:
+        """Nothing to spawn: executor threads start on first use."""
+
+    def lookup(self, prepared: PreparedRequest) -> SolveResult | None:
+        """Memory and disk hits are answered on the event loop."""
+        return self.path.lookup(prepared)
+
+    async def solve(
+        self, prepared: PreparedRequest, spec: EngineSpec, deadline_at: float | None
+    ) -> SolveResult:
+        """Queue or dispatch the miss and await its answer."""
         job = _Job(
             prepared=prepared,
             spec=spec,
             deadline_at=deadline_at,
-            admitted_at=self._clock(),
+            admitted_at=self.clock(),
             future=asyncio.get_running_loop().create_future(),
         )
-        # Write-ahead: an admitted request is journaled before its solve
-        # starts, and marked committed only after a response exists and
-        # any cacheable answer has reached the store — so a crash at any
-        # point in between is replayed on restart (docs/persistence.md).
-        entry = self.journal.begin(request) if self.journal is not None else None
-        try:
-            self._submit(job)
-            result = await self._await_with_deadline(job)
-        finally:
-            self.admission.release(decision)
-        if result.ok and not result.degraded:
-            self.cache.put(prepared, result)
-        if entry is not None:
-            self.journal.commit(entry)
-        self.metrics.histogram("request_latency_seconds").observe(self._clock() - t0)
-        return result
+        self._submit(job)
+        return await self._await_with_deadline(job)
+
+    async def solve_stream(self, request: StreamRequest) -> StreamResult:
+        """Run the session event in an executor thread (the front end
+        awaits each connection's events in arrival order)."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, self.path.sessions.apply, request
+        )
 
     def _is_batchable(self, job: _Job) -> bool:
         """Small, cancellable-or-instant work goes through the slot
@@ -326,17 +372,14 @@ class SolveService:
         is abandoned — it still occupies a slot until it finishes)."""
         if job.deadline_at is None or job.spec.supports_deadline:
             return await job.future
-        remaining = max(0.0, job.deadline_at - self._clock())
+        remaining = max(0.0, job.deadline_at - self.clock())
         try:
             return await asyncio.wait_for(asyncio.shield(job.future), remaining)
         except asyncio.TimeoutError:
             self.metrics.counter("solves_abandoned").inc()
             job.future.add_done_callback(lambda f: f.exception())  # reap quietly
-            return self._degrade(job)
+            return fallback_result(job.request)
 
-    # ------------------------------------------------------------------
-    # Batching and dispatch
-    # ------------------------------------------------------------------
     def _submit(self, job: _Job) -> None:
         """Dispatch a heavy job now; queue a small one and ship it at
         once if a slot is free."""
@@ -372,15 +415,22 @@ class SolveService:
             self._dispatch(batch)
 
     def _dispatch(self, jobs: list[_Job]) -> None:
-        """Ship a group of jobs to one worker thread."""
+        """Ship a group of jobs to one worker thread.  A job that raises
+        fails alone; its batch-mates still get their answers."""
         loop = asyncio.get_running_loop()
         self._busy_workers += 1
         self.metrics.gauge("executor_busy").set(self._busy_workers)
 
-        def run() -> list[SolveResult]:
-            return [self._solve_one(job) for job in jobs]
+        def run() -> list[SolveResult | Exception]:
+            outcomes: list[SolveResult | Exception] = []
+            for job in jobs:
+                try:
+                    outcomes.append(self._run(job))
+                except Exception as exc:  # noqa: BLE001 - delivered to its job
+                    outcomes.append(exc)
+            return outcomes
 
-        def done(fut: "asyncio.Future[list[SolveResult]]") -> None:
+        def done(fut: "asyncio.Future[list[SolveResult | Exception]]") -> None:
             self._busy_workers -= 1
             self.metrics.gauge("executor_busy").set(self._busy_workers)
             self._drain()
@@ -390,106 +440,43 @@ class SolveService:
                         job.future.cancel()
                 return
             exc = fut.exception()
-            for job, result in zip(
-                jobs, fut.result() if exc is None else [None] * len(jobs)
-            ):
+            outcomes = [exc] * len(jobs) if exc is not None else fut.result()
+            for job, outcome in zip(jobs, outcomes):
                 if job.future.done():
                     continue
-                if exc is not None:
-                    job.future.set_exception(exc)
+                if isinstance(outcome, BaseException):
+                    job.future.set_exception(outcome)
                 else:
-                    job.future.set_result(result)
+                    job.future.set_result(outcome)
 
         task = loop.run_in_executor(self._executor, run)
         task.add_done_callback(done)
 
-    # ------------------------------------------------------------------
-    # Worker-side solve (runs in an executor thread)
-    # ------------------------------------------------------------------
-    def _solve_one(self, job: _Job) -> SolveResult:
+    def _run(self, job: _Job) -> SolveResult:
+        """One job in its executor thread: the LPT fallback if its
+        deadline passed while it queued, else the shared solve path."""
         self.metrics.histogram("queue_wait_seconds").observe(
-            self._clock() - job.admitted_at
+            self.clock() - job.admitted_at
         )
-        request, spec = job.request, job.spec
-        if job.deadline_at is not None and self._clock() > job.deadline_at:
-            return self._degrade(job)
-        tracer = Tracer()
-        ctx = build_solve_context(
-            request,
-            deadline_at=(
-                job.deadline_at
-                if job.deadline_at is not None and spec.supports_deadline
-                else None
-            ),
-            clock=self._clock,
-            tracer=tracer,
-            metrics=self.metrics,
+        if job.deadline_at is not None and self.clock() > job.deadline_at:
+            return fallback_result(job.request)
+        check = (
+            deadline_checker(job.deadline_at, self.clock)
+            if job.deadline_at is not None and job.spec.supports_deadline
+            else None
         )
-        try:
-            result = solve_instance(
-                spec, request, job.prepared.instance, ctx, self._clock
-            )
-        except DeadlineExceeded:
-            publish_phase_summary(tracer, self.metrics)
-            return self._degrade(job)
-        except UnknownEngineError as exc:
-            self.metrics.counter("requests_invalid").inc()
-            return SolveResult(
-                request_id=request.request_id,
-                status=STATUS_ERROR,
-                engine=request.engine,
-                error=str(exc),
-            )
-        publish_phase_summary(tracer, self.metrics)
-        self._archive_trace(job.prepared, tracer)
-        return result
+        return self.path.solve(job.prepared, job.spec, check)
 
-    def _archive_trace(self, prepared: PreparedRequest, tracer: Tracer) -> None:
-        """Persist this solve's trace into the durable store (opt-in)."""
-        if self.store is None or not self.archive_traces:
-            return
-        name = prepared.request.request_id or prepared.key
-        try:
-            self.store.archive_trace(str(name), trace_to_payload(tracer))
-            self.metrics.counter("traces_archived").inc()
-        except OSError:
-            pass  # archival is best-effort; never fail the solve
-
-    def _degrade(self, job: _Job) -> SolveResult:
-        """The anytime fallback: problem-appropriate LPT in O(n log n),
-        tagged ``degraded`` (:func:`repro.service.registry.fallback_result`)."""
-        self.metrics.counter("degradations_total").inc()
-        return fallback_result(job.request)
-
-    # ------------------------------------------------------------------
-    # Introspection and lifecycle
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, Any]:
-        """The ``{"op": "stats"}`` payload: every subsystem's counters."""
-        self.metrics.set_many(
-            "result_cache", {k: float(v) for k, v in self.cache.stats().items()}
-        )
-        self.metrics.set_many(
-            "admission", {k: float(v) for k, v in self.admission.stats().items()}
-        )
-        if self.store is not None:
-            record_stats_source(self.metrics, "store", self.store)
-        if self.journal is not None:
-            record_stats_source(self.metrics, "journal", self.journal)
-        record_dp_cache(self.metrics)
+    async def stats(self) -> dict[str, Any]:
+        """The shared registry with the path's gauges and slot usage."""
+        self.path.record_stats()
         self.metrics.gauge("pool_utilization").set(
             self._busy_workers / self.max_workers
         )
-        sessions = self._sessions
-        self.metrics.gauge("stream_sessions").set(
-            float(sessions.num_sessions if sessions is not None else 0)
-        )
         return self.metrics.snapshot()
 
-    def healthcheck(self) -> dict[str, Any]:
-        """The ``{"op": "healthcheck"}`` payload for the single-process
-        service: alive iff we got here (the pooled service's coroutine
-        counterpart in :mod:`repro.service.supervisor` probes workers)."""
+    async def healthcheck(self) -> dict[str, Any]:
+        """Alive iff we got here."""
         return {
             "ok": True,
             "mode": "single",
@@ -497,59 +484,43 @@ class SolveService:
             "executor_busy": self._busy_workers,
         }
 
-    def request_shutdown(self) -> None:
-        """Ask :func:`serve` to wind down (set by the ``shutdown`` op)."""
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
     async def aclose(self) -> None:
-        """Cancel queued jobs, release the worker pool, and flush the
-        persistence layer — a clean exit leaves the journal empty and
-        every segment closed."""
+        """Cancel queued jobs, let running solves finish, then flush the
+        path's journal and store."""
         while self._queued:
             self._queued.popleft().future.cancel()
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.journal is not None:
-            self.journal.close()
-        if self.store is not None:
-            self.store.close()
+        await asyncio.get_running_loop().run_in_executor(
+            None,
+            functools.partial(self._executor.shutdown, wait=True, cancel_futures=True),
+        )
+        self.path.close()
 
 
 # ---------------------------------------------------------------------------
 # JSON-lines TCP front-end
 # ---------------------------------------------------------------------------
 
-async def _write_line(
-    writer: asyncio.StreamWriter, lock: asyncio.Lock, payload: str
-) -> None:
-    async with lock:
-        writer.write(payload.encode("utf-8") + b"\n")
-        await writer.drain()
-
-
-async def _maybe_await(value):
-    """Normalize sync/async service methods: ``SolveService.stats`` is a
-    plain call, ``PooledSolveService.stats`` is a coroutine (it
-    round-trips to worker processes).  The front-end serves both."""
-    if inspect.isawaitable(value):
-        return await value
-    return value
-
-
 async def _handle_connection(
-    service: "SolveService | PooledSolveService",
+    service: SolveService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
     """One client connection: requests in, responses out (possibly out of
     order — correlate via ``request_id``).  Control ops: ``ping``,
-    ``stats``, ``healthcheck``, ``shutdown``."""
+    ``stats``, ``healthcheck``, ``stream``, ``shutdown``."""
     lock = asyncio.Lock()
     pending: set[asyncio.Task[None]] = set()
 
+    async def write(payload: str) -> None:
+        async with lock:
+            writer.write(payload.encode("utf-8") + b"\n")
+            await writer.drain()
+
+    async def write_error(error: str) -> None:
+        await write(SolveResult(status=STATUS_ERROR, error=error).to_json())
+
     async def respond(request: SolveRequest) -> None:
-        result = await service.handle(request)
-        await _write_line(writer, lock, result.to_json())
+        await write((await service.handle(request)).to_json())
 
     try:
         while True:
@@ -562,30 +533,18 @@ async def _handle_connection(
             try:
                 data = json.loads(text)
             except json.JSONDecodeError as exc:
-                await _write_line(
-                    writer,
-                    lock,
-                    SolveResult(
-                        status=STATUS_ERROR, error=f"malformed JSON: {exc}"
-                    ).to_json(),
-                )
+                await write_error(f"malformed JSON: {exc}")
                 continue
             if isinstance(data, dict) and "op" in data:
                 op = data["op"]
                 if op == "ping":
-                    await _write_line(writer, lock, json.dumps({"op": "pong"}))
+                    await write(json.dumps({"op": "pong"}))
                 elif op == "stats":
-                    stats = await _maybe_await(service.stats())
-                    await _write_line(
-                        writer, lock, json.dumps({"op": "stats", "stats": stats})
-                    )
+                    stats = await service.stats()
+                    await write(json.dumps({"op": "stats", "stats": stats}))
                 elif op == "healthcheck":
-                    health = await _maybe_await(service.healthcheck())
-                    await _write_line(
-                        writer,
-                        lock,
-                        json.dumps({"op": "healthcheck", **health}),
-                    )
+                    health = await service.healthcheck()
+                    await write(json.dumps({"op": "healthcheck", **health}))
                 elif op == "stream":
                     # Handled inline (awaited before the next readline):
                     # stream events are stateful, and per-connection
@@ -594,18 +553,12 @@ async def _handle_connection(
                     try:
                         stream_request = StreamRequest.from_dict(data)
                     except (ValueError, TypeError, KeyError) as exc:
-                        await _write_line(
-                            writer,
-                            lock,
-                            StreamResult(
-                                status=STATUS_ERROR, error=str(exc)
-                            ).to_json(),
+                        await write(
+                            StreamResult(status=STATUS_ERROR, error=str(exc)).to_json()
                         )
                         continue
                     try:
-                        stream_result = await service.handle_stream(
-                            stream_request
-                        )
+                        stream_result = await service.handle_stream(stream_request)
                     except Exception as exc:  # noqa: BLE001 — keep the
                         # connection (and its other tenants' sessions)
                         # alive; the event itself is reported failed.
@@ -616,28 +569,18 @@ async def _handle_connection(
                             status=STATUS_ERROR,
                             error=f"{type(exc).__name__}: {exc}",
                         )
-                    await _write_line(writer, lock, stream_result.to_json())
+                    await write(stream_result.to_json())
                 elif op == "shutdown":
-                    await _write_line(writer, lock, json.dumps({"op": "bye"}))
+                    await write(json.dumps({"op": "bye"}))
                     service.request_shutdown()
                     break
                 else:
-                    await _write_line(
-                        writer,
-                        lock,
-                        SolveResult(
-                            status=STATUS_ERROR, error=f"unknown op {op!r}"
-                        ).to_json(),
-                    )
+                    await write_error(f"unknown op {op!r}")
                 continue
             try:
                 request = SolveRequest.from_dict(data)
             except ValueError as exc:
-                await _write_line(
-                    writer,
-                    lock,
-                    SolveResult(status=STATUS_ERROR, error=str(exc)).to_json(),
-                )
+                await write_error(str(exc))
                 continue
             task = asyncio.create_task(respond(request))
             pending.add(task)
@@ -661,7 +604,7 @@ async def _handle_connection(
 
 
 async def start_server(
-    service: "SolveService | PooledSolveService",
+    service: SolveService,
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
 ) -> asyncio.AbstractServer:
@@ -677,7 +620,7 @@ async def serve(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     *,
-    service: "SolveService | PooledSolveService | None" = None,
+    service: SolveService | None = None,
     log_interval: float | None = None,
     on_ready: Callable[[str, int], None] | None = None,
 ) -> None:
@@ -692,11 +635,9 @@ async def serve(
     server leaves no uncommitted entries behind for work it answered.
     """
     svc = service if service is not None else SolveService()
-    starter = getattr(svc, "start", None)
-    if starter is not None:
-        # Pooled service: spawn the workers before accepting traffic so
-        # the first request never pays the pool's cold start.
-        await starter()
+    # Start the lane before accepting traffic, so the first request
+    # never pays a pool's cold start.
+    await svc.start()
     server = await start_server(svc, host, port)
     bound = server.sockets[0].getsockname()[:2] if server.sockets else (host, port)
     loop = asyncio.get_running_loop()
@@ -714,7 +655,7 @@ async def serve(
         assert log_interval is not None
         while True:
             await asyncio.sleep(log_interval)
-            await _maybe_await(svc.stats())
+            await svc.stats()
             print(svc.metrics.render_line(), flush=True)
 
     beat = (
@@ -739,24 +680,38 @@ async def serve(
 # Client helpers (used by ``repro-pcmax submit`` and the tests)
 # ---------------------------------------------------------------------------
 
-async def submit(
-    host: str, port: int, request: SolveRequest, *, timeout: float | None = 60.0
-) -> SolveResult:
-    """Submit one request over a fresh connection and await its result."""
+@contextlib.asynccontextmanager
+async def _connect(
+    host: str, port: int, timeout: float | None
+) -> AsyncIterator[Callable[[str], Awaitable[str]]]:
+    """One client connection as ``ask(line) -> reply line``, closed on
+    exit; a reply slower than *timeout* raises :class:`TimeoutError`."""
     reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(request.to_json().encode("utf-8") + b"\n")
+
+    async def ask(line: str) -> str:
+        writer.write(line.encode("utf-8") + b"\n")
         await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if not line:
+        reply = await asyncio.wait_for(reader.readline(), timeout)
+        if not reply:
             raise ConnectionError("server closed the connection without replying")
-        return SolveResult.from_json(line.decode("utf-8"))
+        return reply.decode("utf-8")
+
+    try:
+        yield ask
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def submit(
+    host: str, port: int, request: SolveRequest, *, timeout: float | None = 60.0
+) -> SolveResult:
+    """Submit one request over a fresh connection and await its result."""
+    async with _connect(host, port, timeout) as ask:
+        return SolveResult.from_json(await ask(request.to_json()))
 
 
 async def replay(
@@ -783,34 +738,17 @@ async def replay(
         queue.put_nowait(item)
     out: list[tuple[SolveResult, float] | None] = [None] * len(requests)
 
-    async def lane() -> None:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            while True:
-                try:
-                    index, request = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    return
+    async def connection() -> None:
+        async with _connect(host, port, timeout) as ask:
+            while not queue.empty():
+                index, request = queue.get_nowait()
                 t0 = time.monotonic()
-                writer.write(request.to_json().encode("utf-8") + b"\n")
-                await writer.drain()
-                line = await asyncio.wait_for(reader.readline(), timeout)
-                if not line:
-                    raise ConnectionError(
-                        "server closed the connection mid-replay"
-                    )
-                out[index] = (
-                    SolveResult.from_json(line.decode("utf-8")),
-                    time.monotonic() - t0,
-                )
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                result = SolveResult.from_json(await ask(request.to_json()))
+                out[index] = (result, time.monotonic() - t0)
 
-    await asyncio.gather(*(lane() for _ in range(min(concurrency, len(requests)) or 1)))
+    await asyncio.gather(
+        *(connection() for _ in range(min(concurrency, len(requests)) or 1))
+    )
     return [item for item in out if item is not None]
 
 
@@ -824,25 +762,11 @@ async def stream_events(
     """Send a tenant's stream events over one connection, strictly in
     order (each result is awaited before the next event is written —
     the ordering the session protocol promises)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        results: list[StreamResult] = []
-        for request in requests:
-            writer.write(request.to_json().encode("utf-8") + b"\n")
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout)
-            if not line:
-                raise ConnectionError(
-                    "server closed the connection mid-stream"
-                )
-            results.append(StreamResult.from_json(line.decode("utf-8")))
-        return results
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    async with _connect(host, port, timeout) as ask:
+        return [
+            StreamResult.from_json(await ask(request.to_json()))
+            for request in requests
+        ]
 
 
 async def send_op(
@@ -850,17 +774,5 @@ async def send_op(
 ) -> dict:
     """Send a control op (``ping`` / ``stats`` / ``healthcheck`` /
     ``shutdown``)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps({"op": op}).encode("utf-8") + b"\n")
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if not line:
-            raise ConnectionError("server closed the connection without replying")
-        return json.loads(line.decode("utf-8"))
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    async with _connect(host, port, timeout) as ask:
+        return json.loads(await ask(json.dumps({"op": op})))

@@ -1,9 +1,10 @@
 """Solver worker process of the sharded pool.
 
-One worker owns one shard of the canonical key space: it runs the
-registry engines for every request the supervisor routes to it, with
-its *own* memory result cache (duplicates of its shard hit warm), its
-own writer-tagged view of the shared durable store (one writer per
+One worker owns one shard of the canonical key space: it runs every
+request the supervisor routes to it through the same
+:class:`~repro.service.solvepath.SolvePath` as the thread lane, built
+with its *own* memory result cache (duplicates of its shard hit warm),
+its own writer-tagged view of the shared durable store (one writer per
 segment file), and its own write-ahead journal (``journal-w<i>.jsonl``
 — begin is fsync'd before the solve starts, in this process, so the
 crash-consistency guarantee never crosses a process boundary).
@@ -58,24 +59,10 @@ import os
 import queue
 import signal
 import threading
-import time
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.core.context import SolveContext
-from repro.obs import Tracer, publish_phase_summary, trace_to_payload
-from repro.service.cache import PreparedRequest, ResultCache
-from repro.service.metrics import (
-    MetricsRegistry,
-    record_dp_cache,
-    record_stats_source,
-)
-from repro.service.registry import (
-    UnknownEngineError,
-    canonical_engine_name,
-    fallback_result,
-    get_engine,
-    solve_instance,
-)
+from repro.service.cache import PreparedRequest
+from repro.service.registry import UnknownEngineError, get_engine
 from repro.service.requests import (
     STATUS_ERROR,
     DeadlineExceeded,
@@ -84,9 +71,7 @@ from repro.service.requests import (
     StreamRequest,
     StreamResult,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.online.session import SessionManager
+from repro.service.solvepath import SolvePath
 
 __all__ = ["send_frame", "recv_frame", "worker_main"]
 
@@ -123,46 +108,13 @@ class _Worker:
     def __init__(self, conn, worker_id: int, config: dict[str, Any]) -> None:
         self.conn = conn
         self.worker_id = worker_id
-        self.metrics = MetricsRegistry()
-        self._clock = time.monotonic
+        self.path = SolvePath.open(**config, worker_id=worker_id)
+        self.metrics = self.path.metrics
+        self._clock = self.path.clock
         self._write_lock = threading.Lock()  # reader + main thread both reply
         self._cancel_lock = threading.Lock()
         self._cancelled: set[str] = set()
         self._jobs: "queue.Queue[dict[str, Any] | None]" = queue.Queue()
-        self.archive_traces = bool(config.get("archive_traces", False))
-
-        store_root = config.get("store_root")
-        self.store = None
-        self.journal = None
-        if store_root:
-            from repro.store import ResultStore, WriteAheadJournal, worker_journal_name
-
-            self.store = ResultStore(
-                store_root,
-                ttl=config.get("store_ttl"),
-                writer_tag=f"w{worker_id}",
-            )
-            self.journal = WriteAheadJournal(
-                store_root, name=worker_journal_name(worker_id)
-            )
-        self.cache = ResultCache(
-            max_entries=int(config.get("cache_size", 1024)),
-            ttl=config.get("cache_ttl"),
-            store=self.store,
-        )
-        self._sessions: "SessionManager | None" = None
-
-    @property
-    def sessions(self) -> "SessionManager":
-        """This shard's live-schedule sessions, built (and
-        :mod:`repro.online` imported) on the first stream event."""
-        if self._sessions is None:
-            from repro.online.session import SessionManager
-
-            self._sessions = SessionManager(
-                store=self.store, cache=self.cache, metrics=self.metrics
-            )
-        return self._sessions
 
     # -- plumbing --------------------------------------------------------
     def _reply(self, payload: dict[str, Any]) -> None:
@@ -216,26 +168,11 @@ class _Worker:
     def stats(self) -> dict[str, Any]:
         """This worker's metrics snapshot (cache, store, journal, DP
         cache, trace phases) — merged pool-wide by the supervisor."""
-        self.metrics.set_many(
-            "result_cache", {k: float(v) for k, v in self.cache.stats().items()}
-        )
-        if self.store is not None:
-            record_stats_source(self.metrics, "store", self.store)
-        if self.journal is not None:
-            record_stats_source(self.metrics, "journal", self.journal)
-        record_dp_cache(self.metrics)
+        self.path.record_stats()
         self.metrics.gauge("worker_pid").set(float(os.getpid()))
-        sessions = self._sessions
-        self.metrics.gauge("stream_sessions").set(
-            float(sessions.num_sessions if sessions is not None else 0)
-        )
         return self.metrics.snapshot()
 
     # -- solve path ------------------------------------------------------
-    def _degrade(self, request: SolveRequest) -> SolveResult:
-        self.metrics.counter("degradations_total").inc()
-        return fallback_result(request)
-
     def _check_hook(self, request_id: str, deadline_at: float | None):
         def check() -> None:
             if self._is_cancelled(request_id):
@@ -274,50 +211,22 @@ class _Worker:
         t0 = self._clock()
         self.metrics.counter(f"requests.problem.{request.problem}").inc()
         # The supervisor validated the instance before routing here, so
-        # only the canonical form is prepared; the solve builds the
+        # only the canonical form is prepared; the solve path builds the
         # instance (and reports a bad one as a solve error).
         prepared = PreparedRequest(request)
-        hit = self.cache.get(prepared)
-        if hit is not None:
+        result = self.path.lookup(prepared)
+        if result is not None:
             self.metrics.counter("cache_hits").inc()
-            self._reply({"kind": "result", "id": rid, "result": hit.to_dict()})
-            return
-        self.metrics.counter("cache_misses").inc()
-
-        deadline = msg.get("deadline")
-        deadline_at = None if deadline is None else t0 + float(deadline)
-        entry = self.journal.begin(request) if self.journal is not None else None
-        tracer = Tracer()
-        ctx = SolveContext(
-            check_deadline=self._check_hook(rid, deadline_at),
-            tracer=tracer,
-            metrics=self.metrics,
-        )
-        try:
-            result = solve_instance(
-                spec, request, request.instance(), ctx, self._clock
+        else:
+            deadline = msg.get("deadline")
+            deadline_at = None if deadline is None else t0 + float(deadline)
+            result = self.path.solve(
+                prepared, spec, self._check_hook(rid, deadline_at)
             )
-        except DeadlineExceeded:
-            result = self._degrade(request)
-        except Exception as exc:  # noqa: BLE001 - a bad solve must not kill the shard
-            self.metrics.counter("errors_total").inc()
-            if entry is not None:
-                self.journal.abort(entry)
-                entry = None
-            result = SolveResult(
-                request_id=request.request_id,
-                status=STATUS_ERROR,
-                engine=canonical_engine_name(request.engine),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        publish_phase_summary(tracer, self.metrics)
-        if result.ok and not result.degraded:
-            self.cache.put(prepared, result)  # write-through to the store
-            self._archive_trace(prepared, tracer)
-        if entry is not None:
-            self.journal.commit(entry)
-        self.metrics.counter("solves_total").inc()
-        self.metrics.histogram("solve_seconds").observe(self._clock() - t0)
+            if result.degraded:
+                self.metrics.counter("degradations_total").inc()
+            self.metrics.counter("solves_total").inc()
+            self.metrics.histogram("solve_seconds").observe(self._clock() - t0)
         with self._cancel_lock:
             self._cancelled.discard(rid)
         self._reply({"kind": "result", "id": rid, "result": result.to_dict()})
@@ -333,7 +242,7 @@ class _Worker:
             result = StreamResult(status=STATUS_ERROR, error=str(exc))
         else:
             try:
-                result = self.sessions.apply(request)
+                result = self.path.sessions.apply(request)
             except Exception as exc:  # noqa: BLE001 — the worker must
                 # survive any event (apply itself contains per-event
                 # failures; this is the last line of defense).
@@ -349,16 +258,6 @@ class _Worker:
         self._reply(
             {"kind": "stream_result", "id": rid, "result": result.to_dict()}
         )
-
-    def _archive_trace(self, prepared: PreparedRequest, tracer: Tracer) -> None:
-        if self.store is None or not self.archive_traces:
-            return
-        name = prepared.request.request_id or str(prepared.key)
-        try:
-            self.store.archive_trace(str(name), trace_to_payload(tracer))
-            self.metrics.counter("traces_archived").inc()
-        except OSError:
-            pass  # archival is best-effort
 
     # -- lifecycle -------------------------------------------------------
     def run(self) -> None:
@@ -379,10 +278,7 @@ class _Worker:
                 else:
                     self._solve(msg)
         finally:
-            if self.journal is not None:
-                self.journal.close()
-            if self.store is not None:
-                self.store.close()
+            self.path.close()
             try:
                 self.conn.close()
             except OSError:

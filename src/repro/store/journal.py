@@ -31,6 +31,7 @@ Properties:
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -82,8 +83,8 @@ class JournalEntry:
 class WriteAheadJournal:
     """Append-only begin/commit log of admitted solve requests.
 
-    Thread-safety note: callers serialize access (the service writes
-    from the event loop; recovery runs before the loop starts).
+    Thread-safe: the thread lane journals from its executor threads,
+    so every write holds one lock.
 
     ``name`` selects the journal file inside *root*; pool workers pass
     :func:`worker_journal_name` so each process owns its file alone.
@@ -96,6 +97,7 @@ class WriteAheadJournal:
         self.torn_tail = False
         self._open_entries: dict[str, SolveRequest] = {}
         self._seq = 0
+        self._lock = threading.Lock()
         self.begins = 0
         self.commits = 0
         self.aborts = 0
@@ -138,34 +140,39 @@ class WriteAheadJournal:
         """Durably record an admitted request; returns its entry."""
         from repro.service.cache import canonical_key
 
-        self._seq += 1
-        entry_id = f"{self._seq:08d}-{key_address(canonical_key(request))[:12]}"
-        append_line(
-            self._fh,
-            encode_record(
-                "begin", {"id": entry_id, "request": request.to_dict()}
-            ),
-        )
-        self._open_entries[entry_id] = request
-        self.begins += 1
+        address = key_address(canonical_key(request))[:12]
+        with self._lock:
+            self._seq += 1
+            entry_id = f"{self._seq:08d}-{address}"
+            append_line(
+                self._fh,
+                encode_record(
+                    "begin", {"id": entry_id, "request": request.to_dict()}
+                ),
+            )
+            self._open_entries[entry_id] = request
+            self.begins += 1
         return JournalEntry(entry_id=entry_id, request=request)
 
     def _mark(self, entry: JournalEntry, kind: str) -> None:
-        if entry.entry_id not in self._open_entries:
-            return  # idempotent: already committed/aborted
-        append_line(self._fh, encode_record(kind, {"id": entry.entry_id}))
-        self._open_entries.pop(entry.entry_id, None)
+        with self._lock:
+            if kind == "commit":
+                self.commits += 1
+            else:
+                self.aborts += 1
+            if entry.entry_id not in self._open_entries:
+                return  # idempotent: already committed/aborted
+            append_line(self._fh, encode_record(kind, {"id": entry.entry_id}))
+            self._open_entries.pop(entry.entry_id, None)
 
     def commit(self, entry: JournalEntry) -> None:
         """Mark an entry answered; it will never replay."""
         self._mark(entry, "commit")
-        self.commits += 1
 
     def abort(self, entry: JournalEntry) -> None:
         """Mark an entry permanently failed (poison); it will never
         replay again."""
         self._mark(entry, "abort")
-        self.aborts += 1
 
     # ------------------------------------------------------------------
     # Introspection

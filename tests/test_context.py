@@ -235,14 +235,3 @@ class TestAdapterCoercion:
         )
         assert spec.solve(INSTANCE, request, None).makespan >= 1
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
-
-    def test_bare_callable_coerced_with_warning(self):
-        spec = get_engine("ptas")
-        request = SolveRequest(
-            times=INSTANCE.processing_times,
-            machines=INSTANCE.num_machines,
-            engine="ptas",
-        )
-        with pytest.warns(DeprecationWarning, match="bare check_deadline"):
-            schedule = spec.solve(INSTANCE, request, lambda: None)
-        assert schedule.makespan >= 1

@@ -6,7 +6,7 @@ the service.
 :mod:`repro.service.server`; the PTAS with the wire-default
 ``dominance`` DP and both LPTs are pure Python, so numpy (about 12 MB
 resident) and scipy stay out of the server until a request needs them.
-Both front ends and the pool worker build their live-schedule sessions
+Both lanes build their live-schedule sessions (``SolvePath.sessions``)
 on the first ``op=stream`` event, so :mod:`repro.online` loads only then.
 :mod:`repro.service` exports lazily, so a library solve loads only the
 registry and the wire types, not the asyncio server, the process pool
@@ -34,7 +34,7 @@ import repro.cli
 import repro.service.server
 import repro.service.supervisor
 from repro.service.requests import SolveRequest, StreamRequest
-from repro.service.server import SolveService
+from repro.service.server import SolveService, ThreadLane
 
 def loaded():
     return {name: name in sys.modules for name in ("numpy", "scipy")}
@@ -44,14 +44,14 @@ def online():
 
 async def main():
     seen = {"import": loaded()}
-    svc = SolveService(max_workers=1)
+    svc = SolveService(ThreadLane(max_workers=1))
     try:
         for engine in ("ptas", "lpt"):
             res = await svc.handle(
                 SolveRequest(times=(9, 8, 7, 6, 5, 5, 4, 3, 2, 1), machines=3, engine=engine)
             )
             assert res.ok and not res.degraded, res
-        svc.stats()
+        await svc.stats()
         seen["served"] = loaded()
         seen["online_served"] = online()
         stream = [
@@ -84,8 +84,8 @@ SERVICE_SIDE = ("asyncio", "repro.service.server", "repro.service.supervisor", "
 
 result = repro.solve(repro.Instance((9, 8, 7, 6, 5, 5, 4, 3, 2, 1), 3), "ptas")
 seen = {"makespan": result.makespan, "solved": [m for m in SERVICE_SIDE if m in sys.modules]}
-from repro.service import PooledSolveService, SolveService
-seen["exports"] = [SolveService.__module__, PooledSolveService.__module__]
+from repro.service import SolveService, SupervisorPool
+seen["exports"] = [SolveService.__module__, SupervisorPool.__module__]
 print(json.dumps(seen))
 """
 
@@ -98,7 +98,7 @@ from repro.service.worker import _Worker
 worker = _Worker(None, 0, {})
 worker.stats()
 seen = {"online_stats": "repro.online" in sys.modules}
-seen["sessions"] = worker.sessions.num_sessions
+seen["sessions"] = worker.path.sessions.num_sessions
 seen["online_sessions"] = "repro.online" in sys.modules
 print(json.dumps(seen))
 """

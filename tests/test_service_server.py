@@ -19,9 +19,11 @@ from repro.model.instance import Instance
 from repro.model.verify import verify_schedule
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
+from repro.service.solvepath import SolvePath
 from repro.service.requests import SolveRequest, SolveResult
 from repro.service.server import (
     SolveService,
+    ThreadLane,
     send_op,
     start_server,
     submit,
@@ -72,7 +74,7 @@ class TestPreparedOnce:
         monkeypatch.setattr(cache_module, "sorted", counting_sorted, raising=False)
 
         async def scenario():
-            svc = SolveService(max_workers=1)
+            svc = SolveService(ThreadLane(max_workers=1))
             try:
                 miss = await svc.handle(_req(times, engine="ptas"))
                 counts = (built.count(times), len(sorts))
@@ -92,7 +94,7 @@ class TestPreparedOnce:
 class TestHandle:
     def test_solves_and_reports_guarantee(self):
         async def scenario():
-            svc = SolveService(max_workers=2)
+            svc = SolveService(ThreadLane(max_workers=2))
             try:
                 res = await svc.handle(
                     _req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas", request_id="x")
@@ -142,7 +144,7 @@ class TestHandle:
                 permuted = await svc.handle(_req([1, 2, 3, 4, 5], engine="ptas"))
             finally:
                 await _closed(svc)
-            return first, second, permuted, svc.cache.stats()
+            return first, second, permuted, svc.lane.path.cache.stats()
 
         first, second, permuted, stats = run(scenario())
         assert not first.cached and second.cached and permuted.cached
@@ -204,7 +206,7 @@ class TestHandle:
         async def scenario():
             # batch_max_jobs above the instance size: the request rides
             # the slot dispatcher, not the direct heavy-solve path.
-            svc = SolveService(batch_max_jobs=128)
+            svc = SolveService(ThreadLane(batch_max_jobs=128))
             try:
                 res = await svc.handle(
                     _req(
@@ -230,7 +232,7 @@ class TestHandle:
 
     def test_degraded_results_are_not_cached(self):
         async def scenario():
-            svc = SolveService(batch_max_jobs=128)
+            svc = SolveService(ThreadLane(batch_max_jobs=128))
             try:
                 first = await svc.handle(
                     _req(range(1, 80), engine="ptas", eps=0.1, deadline=0.0)
@@ -276,7 +278,7 @@ class TestHandle:
 
     def test_batching_groups_compatible_small_requests(self):
         async def scenario():
-            svc = SolveService(max_workers=2, batch_max_size=8)
+            svc = SolveService(ThreadLane(max_workers=2, batch_max_size=8))
             try:
                 reqs = [
                     _req([i + 1, 2 * i + 1, 5, 7], engine="lpt", request_id=str(i))
@@ -299,7 +301,7 @@ class TestHandle:
         wait for company."""
 
         async def scenario():
-            svc = SolveService(max_workers=2)
+            svc = SolveService(ThreadLane(max_workers=2))
             try:
                 for i in range(50):
                     res = await svc.handle(_req([i + 1, 9, 4, 7, 2], request_id=str(i)))
@@ -318,14 +320,15 @@ class TestHandle:
         """Make the solve of *request_id* hold its worker until the
         returned event is set."""
         release = threading.Event()
-        solve_one = svc._solve_one
+        path = svc.lane.path
+        solve = path.solve
 
-        def gated(job):
-            if job.request.request_id == request_id:
+        def gated(prepared, spec, check_deadline=None):
+            if prepared.request.request_id == request_id:
                 release.wait(30)
-            return solve_one(job)
+            return solve(prepared, spec, check_deadline)
 
-        svc._solve_one = gated
+        path.solve = gated
         return release
 
     def test_requests_queued_behind_a_busy_slot_ship_as_one_batch(self):
@@ -335,7 +338,7 @@ class TestHandle:
         ]
 
         async def scenario():
-            svc = SolveService(max_workers=1, batch_max_jobs=16)
+            svc = SolveService(ThreadLane(max_workers=1, batch_max_jobs=16))
             release = self._gated(svc, "slow")
             try:
                 tasks = [
@@ -371,7 +374,7 @@ class TestHandle:
         ]
 
         async def scenario():
-            svc = SolveService(max_workers=1, batch_max_jobs=16)
+            svc = SolveService(ThreadLane(max_workers=1, batch_max_jobs=16))
             release = self._gated(svc, "slow")
             try:
                 tasks = [
@@ -397,7 +400,7 @@ class TestHandle:
         late = _req(range(1, 30), machines=4, engine="ptas", eps=0.1, deadline=0.0)
 
         async def scenario():
-            svc = SolveService(max_workers=1, batch_max_jobs=32)
+            svc = SolveService(ThreadLane(max_workers=1, batch_max_jobs=32))
             release = self._gated(svc, "slow")
             try:
                 tasks = [asyncio.create_task(svc.handle(r)) for r in (slow, late)]
@@ -419,7 +422,7 @@ class TestHandle:
             svc = SolveService()
             try:
                 await svc.handle(_req([3, 1, 2], engine="ptas"))
-                return svc.stats()
+                return await svc.stats()
             finally:
                 await _closed(svc)
 
@@ -439,7 +442,7 @@ class TestHandle:
             svc = SolveService()
             try:
                 await svc.handle(_req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas"))
-                return svc.stats()
+                return await svc.stats()
             finally:
                 await _closed(svc)
 
@@ -448,6 +451,104 @@ class TestHandle:
         assert snap["counters"]["trace.spans.probe"] >= 1
         assert snap["counters"]["trace.counters.probes"] >= 1
         assert snap["histograms"]["trace.phase.dp.seconds"]["count"] >= 1
+
+
+#: Past the brute-force engine's 18-job guard: its solve raises.
+BRUTE_29 = tuple(range(1, 30))
+
+
+class TestFailureEnvelope:
+    """An engine that raises answers ``status="error"`` (and aborts its
+    journal entry) instead of leaving the client without a reply."""
+
+    def test_engine_error_is_answered_over_tcp(self):
+        async def scenario():
+            svc = SolveService()
+            server = await start_server(svc, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await submit(
+                    "127.0.0.1",
+                    port,
+                    _req(BRUTE_29, engine="brute", request_id="b29"),
+                    timeout=10.0,
+                )
+            finally:
+                await _closed(svc, server)
+
+        res = run(scenario())
+        assert res.status == "error" and res.request_id == "b29"
+        assert "brute force limited to 18 jobs" in res.error
+
+    def test_engine_error_aborts_its_journal_entry(self, tmp_path):
+        from repro.store import ResultStore, WriteAheadJournal
+
+        journal = WriteAheadJournal(tmp_path)
+
+        async def scenario():
+            path = SolvePath(store=ResultStore(tmp_path), journal=journal)
+            svc = SolveService(ThreadLane(path))
+            try:
+                res = await svc.handle(_req(BRUTE_29, engine="brute"))
+                return res, journal.uncommitted(), journal.stats()
+            finally:
+                await _closed(svc)
+
+        res, uncommitted, stats = run(scenario())
+        assert res.status == "error"
+        assert uncommitted == []
+        assert stats["aborts"] == 1 and stats["commits"] == 0
+        assert WriteAheadJournal(tmp_path).uncommitted() == []
+
+    def test_raising_job_does_not_fail_its_batch_mates(self, monkeypatch):
+        import dataclasses
+
+        from repro.service import registry
+
+        spec = registry._REGISTRY["lpt"]
+
+        def solve(instance, request, ctx):
+            if request.request_id == "bad":
+                raise RuntimeError("engine blew up")
+            return spec.solve(instance, request, ctx)
+
+        monkeypatch.setitem(
+            registry._REGISTRY, "lpt", dataclasses.replace(spec, solve=solve)
+        )
+        slow = _req(range(1, 41), machines=4, engine="ptas", eps=0.3, request_id="slow")
+        small = [
+            _req([i + 3, 2 * i + 1, 5, 7], request_id="bad" if i == 2 else f"s{i}")
+            for i in range(5)
+        ]
+
+        async def scenario():
+            svc = SolveService(ThreadLane(max_workers=1, batch_max_jobs=16))
+            release = self._gated(svc, "slow")
+            try:
+                tasks = [asyncio.create_task(svc.handle(r)) for r in [slow, *small]]
+                await asyncio.sleep(0.05)
+                release.set()
+                results = await asyncio.gather(*tasks)
+            finally:
+                release.set()
+                await _closed(svc)
+            return results, svc.metrics.histogram("batch_size")
+
+        results, sizes = run(scenario())
+        # The five small requests queued behind the slow one and shipped
+        # as one batch; only the raising job reports an error.
+        assert sizes.count == 1 and sizes.max == 5
+        for request, result in zip([slow, *small], results):
+            assert result.request_id == request.request_id
+            if request.request_id == "bad":
+                assert result.status == "error"
+                assert "RuntimeError: engine blew up" in result.error
+            else:
+                assert result.ok
+                inst = request.instance()
+                assert verify_schedule(result.schedule(inst), inst).ok
+
+    _gated = TestHandle._gated
 
 
 class TestProtocol:
@@ -549,8 +650,7 @@ class TestEndToEnd:
 
         async def scenario():
             svc = SolveService(
-                max_workers=4,
-                cache=ResultCache(max_entries=256),
+                ThreadLane(SolvePath(cache=ResultCache(max_entries=256)), max_workers=4),
                 admission=AdmissionController(
                     max_queue_depth=len(requests) + 8, max_inflight_ops=1e18
                 ),

@@ -338,6 +338,40 @@ class TestJournal:
         with pytest.raises(RecordError):
             WriteAheadJournal(tmp_path)
 
+    def test_concurrent_writers_lose_no_entry(self, tmp_path):
+        """The thread lane journals from its executor threads: entry ids
+        stay unique and every begin is matched by its commit."""
+        import sys
+        import threading
+
+        journal = WriteAheadJournal(tmp_path)
+        request = _req([3, 2, 1])  # one key: a repeated sequence number collides
+        ids: list[str] = []
+
+        def writer() -> None:
+            for _ in range(25):
+                entry = journal.begin(request)
+                ids.append(entry.entry_id)
+                journal.commit(entry)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(set(ids)) == len(ids) == 200
+        stats = journal.stats()
+        assert stats["begins"] == stats["commits"] == 200
+        assert journal.uncommitted() == []
+        journal.close()
+        assert WriteAheadJournal(tmp_path).uncommitted() == []
+
     def test_sequence_continues_across_reopen(self, tmp_path):
         journal = WriteAheadJournal(tmp_path)
         first = journal.begin(_req([1, 2]))
@@ -418,16 +452,17 @@ class TestServiceIntegration:
         import asyncio
 
         from repro.obs import payload_to_trace
-        from repro.service.server import SolveService
+        from repro.service.server import SolveService, ThreadLane
+        from repro.service.solvepath import SolvePath
 
         async def scenario():
             store = ResultStore(tmp_path)
-            svc = SolveService(store=store, archive_traces=True)
+            svc = SolveService(ThreadLane(SolvePath(store=store, archive_traces=True)))
             try:
                 result = await svc.handle(
                     _req([7, 6, 5, 4, 3], engine="ptas", request_id="t-1")
                 )
-                snap = svc.stats()
+                snap = await svc.stats()
             finally:
                 await svc.aclose()
             return result, snap
