@@ -32,8 +32,9 @@ Subcommands
 ``qa``
     Differential fuzzing of the engine fleet (``docs/qa.md``): ``fuzz``
     draws seeded instances and checks the cross-engine, metamorphic and
-    service-equivalence oracles, minimizing and persisting any failure;
-    ``replay`` re-runs recorded repro files.
+    service-equivalence oracles (or, with ``--oracle dp``, the DP-layer
+    oracle), minimizing and persisting any failure; ``replay`` re-runs
+    recorded repro files.
 """
 
 from __future__ import annotations
@@ -670,19 +671,24 @@ def _cmd_store_replay(args: argparse.Namespace) -> int:
 def _cmd_qa_fuzz(args: argparse.Namespace) -> int:
     from repro.qa import FuzzConfig, run_fuzz
 
-    config = FuzzConfig(
-        seed=args.seed,
-        budget=args.budget,
-        problem=args.problem,
-        corpus_dir=args.corpus,
-        eps=args.eps,
-        max_jobs=args.max_jobs,
-        max_machines=args.max_machines,
-        max_failures=args.max_failures,
-        engines=tuple(args.engines.split(",")) if args.engines else (),
-        metamorphic=not args.no_metamorphic,
-        service=not args.no_service,
-    )
+    try:
+        config = FuzzConfig(
+            seed=args.seed,
+            budget=args.budget,
+            problem=args.problem,
+            corpus_dir=args.corpus,
+            eps=args.eps,
+            max_jobs=args.max_jobs,
+            max_machines=args.max_machines,
+            max_failures=args.max_failures,
+            engines=tuple(args.engines.split(",")) if args.engines else (),
+            metamorphic=not args.no_metamorphic,
+            service=not args.no_service,
+            oracle=args.oracle,
+        )
+    except ValueError as exc:  # e.g. an unknown --oracle name
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_fuzz(config)
     print(report.summary())
     return 0 if report.ok else 1
@@ -1068,6 +1074,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the sampled wire/in-process equivalence oracle",
     )
+    qa_fuzz.add_argument(
+        "--oracle",
+        default=None,
+        metavar="NAME",
+        help="run only this oracle class on every case: cross_engine, "
+        "metamorphic, service, or dp (DP engines, reference DP and "
+        "wavefront backends agree; runs only this way)",
+    )
     qa_fuzz.set_defaults(fn=_cmd_qa_fuzz)
     qa_replay = qa_subs.add_parser(
         "replay",
@@ -1080,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
     qa_replay.add_argument(
         "--all-oracles",
         action="store_true",
-        help="re-run all three oracle classes, not just the recorded one",
+        help="re-run every oracle class, not just the recorded one",
     )
     qa_replay.set_defaults(fn=_cmd_qa_replay)
 

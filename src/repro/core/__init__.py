@@ -10,8 +10,8 @@ Module map (mirrors the paper's Algorithm 1/2/3 structure):
   configurations (Eq. 3), including the maximal-only variant used by the
   optimized dominance engine.
 * :mod:`repro.core.dp` — sequential dynamic-programming engines computing
-  ``OPT(N)`` (Alg. 2): faithful full table, memoized recursion, exact-sum
-  BFS frontier, dominance-pruned cover, and a numpy-vectorized sweep.
+  ``OPT(N)`` (Alg. 2): the faithful full table, a dominance-pruned cover,
+  a numpy-vectorized sweep and a configuration IP.
 * :mod:`repro.core.parallel_dp` — the paper's contribution (Alg. 3): the
   anti-diagonal wavefront parallel DP with serial / thread / process /
   simulated backends.

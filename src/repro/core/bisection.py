@@ -40,8 +40,8 @@ certified target (property-tested against the faithful search):
   quantum, every remaining probe is such a repeat.
 
 Every probe threads the machine budget through to the solver as its
-decision ``limit``, so early-exit engines (``frontier``, ``dominance``)
-stop at depth ``m`` — the callable contract of :data:`DecisionSolver`.
+decision ``limit``, so the early-exit engine (``dominance``) stops at
+depth ``m`` — the callable contract of :data:`DecisionSolver`.
 The first two accelerations certify an equally valid target: every
 ``T >= OPT`` is feasible for the rounded DP (rounding only shrinks
 loads), so any bracketing interval converges to a feasible target
@@ -219,8 +219,6 @@ def bisect_target_makespan(
     job_cap: int | None = None,
     *,
     ctx: SolveContext | None = None,
-    warm_start: bool | None = None,
-    check_deadline: Callable[[], None] | None = None,
 ) -> BisectionOutcome:
     """Run the dual-approximation bisection and return the last feasible
     probe (whose target equals the final ``UB = LB``).
@@ -241,17 +239,8 @@ def bisect_target_makespan(
     :class:`repro.service.requests.DeadlineExceeded`; ``ctx.tracer``
     receives one ``probe`` span per iteration with a nested ``round``
     span (the solver adds ``enumerate``/``dp``/``level`` spans beneath).
-
-    The bare ``warm_start=`` / ``check_deadline=`` kwargs are deprecated
-    shims that build a context and warn; pass ``ctx=`` in new code.
     """
-    ctx = resolve_context(
-        ctx,
-        warm_start=warm_start,
-        check_deadline=check_deadline,
-        default=_FAITHFUL_CONTEXT,
-        caller="bisect_target_makespan",
-    )
+    ctx = resolve_context(ctx, default=_FAITHFUL_CONTEXT)
     tracer = ctx.tracer
     m = instance.num_machines
     lb = makespan_bounds(instance).lower

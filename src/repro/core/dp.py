@@ -15,47 +15,46 @@ componentwise sum is exactly ``N``.
 
 Engines
 -------
+Every engine left earns its place: it is the measured winner on some
+workload cell (``benchmarks/bench_engines.py``, ``docs/engines.md``) or
+an independent oracle the tests diff against.
+
 ``table``
     Faithful to Alg. 2/3: materializes the full DP table of
     ``sigma = prod(n_i + 1)`` entries in row-major order and sweeps it
     once.  Row-major order dominates the componentwise order, so every
-    predecessor ``v - s`` is ready when ``v`` is processed.
-``memo``
-    Top-down memoized recursion — the literal transcription of Eq. 4.
-    Visits only states reachable *backwards* from ``N``; used as a
-    cross-check oracle on small inputs.
-``frontier``
-    Forward BFS from the zero vector where each edge adds one machine
-    configuration; the BFS depth at which ``v`` is first reached is
-    ``OPT(v)``.  Supports early exit once a depth limit (e.g. the machine
-    count ``m``) is exceeded, which is all the bisection needs.
+    predecessor ``v - s`` is ready when ``v`` is processed.  The oracle
+    every other engine is diffed against.
 ``dominance``
     Optimized *cover* formulation: machines may be under-filled, so only
     maximal configurations matter and dominated partial covers can be
     pruned (keep only Pareto-maximal vectors ``min(v + s, N)``).  Returns
     exactly the same ``OPT`` (a cover can always be trimmed to an exact
     packing because any sub-multiset of a feasible configuration is
-    feasible).  Scans fewer configurations than the full sweep, but its
-    pure-Python Pareto pruning grows quadratically with the frontier: on
-    the paper's ``u_100``/``u_10n`` families it is the slowest engine but
-    ``memo``/``frontier`` (``docs/engines.md`` has the measurements).  It
-    stays ahead only on tiny tables, such as the service's small requests.
+    feasible), and stops once the depth exceeds ``limit``.  Its
+    pure-Python Pareto pruning grows quadratically with the frontier, so
+    it is slow on the paper's ``u_100``/``u_10n`` panel, but it is the
+    fastest engine on the service's tiny tables and the wire default.
 ``numpy``
     Vectorized variant of the level sweep: each anti-diagonal is one
     fused block of numpy operations (:class:`~repro.core.kernels.LevelKernel`).
     Semantically identical to ``table``, and the default
-    (:data:`DEFAULT_DP_ENGINE`): on the paper's PTAS panel (eps 0.2,
-    m = 8, n = 40) it solves about 40x more instances per second than
-    ``dominance`` and 16x more than ``table``.
+    (:data:`DEFAULT_DP_ENGINE`): the fastest engine on every cell of the
+    paper's PTAS panel (eps 0.2, m = 8, n = 40).
+``config-ilp``
+    The configuration IP solved by HiGHS (:mod:`repro.core.dp_ilp`): a
+    table-free oracle.
 
-All engines return a :class:`DPResult` and agree with each other — the
-test suite enforces this on randomized inputs.
+A second, independent top-down transcription of Eq. 4 lives in
+:func:`repro.core.reference._dp`.  All engines return a :class:`DPResult`
+and agree with each other — the test suite and the ``dp`` fuzz oracle
+(:mod:`repro.qa.oracles`) enforce this on randomized inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.configurations import (
     ConfigurationSet,
@@ -63,12 +62,6 @@ from repro.core.configurations import (
     enumerate_maximal_configurations,
 )
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-#: Sentinel for "not computable / unreached" states.
-INFEASIBLE = None
 
 
 @dataclass(frozen=True)
@@ -200,21 +193,6 @@ def unrank(flat: int, dims: Sequence[int], strides: Sequence[int]) -> tuple[int,
     """Inverse of row-major flattening: recover the count vector of a flat
     table index."""
     return tuple((flat // strides[c]) % dims[c] for c in range(len(dims)))
-
-
-def state_levels_array(problem: DPProblem) -> np.ndarray:
-    """Vector of anti-diagonal indices for all ``sigma`` states, in
-    row-major order (vectorized Alg. 3, lines 4–8)."""
-    import numpy as np
-
-    sigma = problem.table_size
-    strides = problem.strides()
-    dims = problem.dims
-    flat = np.arange(sigma, dtype=np.int64)
-    levels = np.zeros(sigma, dtype=np.int64)
-    for c in range(len(dims)):
-        levels += (flat // strides[c]) % dims[c]
-    return levels
 
 
 def backtrack_schedule(
@@ -380,163 +358,6 @@ def _level_sizes(problem: DPProblem) -> tuple[int, ...]:
             for i in range(top + count)
         ]
     return tuple(poly)
-
-
-# ---------------------------------------------------------------------------
-# Engine: memoized recursion (literal Eq. 4)
-# ---------------------------------------------------------------------------
-
-def solve_memo(
-    problem: DPProblem,
-    *,
-    limit: int | None = None,
-    track_schedule: bool = True,
-    collect_stats: bool = False,
-    ctx: SolveContext | None = None,
-) -> DPResult:
-    """Top-down transcription of Eq. 4 with memoization.
-
-    Only intended as a readable oracle for tests; recursion depth grows
-    with the number of long jobs, so inputs must stay small.
-    """
-    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-    if not problem.counts:
-        return _empty_result("memo", collect_stats)
-    configs = _enumerate_traced(problem, ctx)
-    memo: dict[tuple[int, ...], int] = {}
-    scans = 0
-
-    import sys
-
-    need_depth = problem.num_long_jobs * 2 + 64
-    old_limit = sys.getrecursionlimit()
-    if old_limit < need_depth:
-        sys.setrecursionlimit(need_depth)
-
-    def opt(v: tuple[int, ...]) -> int:
-        nonlocal scans
-        if not any(v):
-            return 0
-        cached = memo.get(v)
-        if cached is not None:
-            return cached
-        best: int | None = None
-        for cfg in configs.configs:
-            scans += 1
-            if all(s <= vc for s, vc in zip(cfg, v)):
-                sub = opt(tuple(vc - s for vc, s in zip(v, cfg)))
-                if best is None or sub < best:
-                    best = sub
-        assert best is not None, "singleton configurations guarantee feasibility"
-        memo[v] = best + 1
-        return best + 1
-
-    try:
-        value = opt(problem.counts)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    stats = None
-    if collect_stats:
-        level_sizes = _level_sizes(problem)
-        stats = DPStats(
-            sigma=problem.table_size,
-            num_levels=len(level_sizes),
-            level_sizes=level_sizes,
-            num_configs=len(configs),
-            states_computed=len(memo) + 1,
-            config_scans=scans,
-        )
-    if limit is not None and value > limit:
-        return DPResult(opt=None, engine="memo", stats=stats)
-    machine_configs: tuple[tuple[int, ...], ...] = ()
-    if track_schedule:
-        strides = problem.strides()
-
-        def lookup(flat: int) -> int | None:
-            vec = unrank(flat, problem.dims, strides)
-            if not any(vec):
-                return 0
-            return memo.get(vec)
-
-        with ctx.span("backtrack", engine="memo"):
-            machine_configs = backtrack_schedule(lookup, problem, configs)
-    return DPResult(opt=value, machine_configs=machine_configs, engine="memo", stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# Engine: forward BFS on exact sums ("frontier")
-# ---------------------------------------------------------------------------
-
-def solve_frontier(
-    problem: DPProblem,
-    *,
-    limit: int | None = None,
-    track_schedule: bool = True,
-    collect_stats: bool = False,
-    ctx: SolveContext | None = None,
-) -> DPResult:
-    """Breadth-first search from the zero vector, one machine per step.
-
-    The first time a vector ``v`` is reached, the BFS depth equals
-    ``OPT(v)`` (all edges have unit cost).  The search never leaves the
-    box ``0 <= v <= N`` and stops as soon as ``N`` is popped, or once the
-    depth would exceed ``limit``.
-    """
-    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-    if not problem.counts:
-        return _empty_result("frontier", collect_stats)
-    configs = _enumerate_traced(problem, ctx)
-    target_vec = problem.counts
-    depth_of: dict[tuple[int, ...], int] = {tuple([0] * len(target_vec)): 0}
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    frontier: list[tuple[int, ...]] = [tuple([0] * len(target_vec))]
-    depth = 0
-    scans = 0
-    found = target_vec in depth_of
-    while frontier and not found and (limit is None or depth < limit):
-        depth += 1
-        next_frontier: list[tuple[int, ...]] = []
-        for v in frontier:
-            for cfg in configs.configs:
-                scans += 1
-                w = tuple(vc + s for vc, s in zip(v, cfg))
-                if any(wc > nc for wc, nc in zip(w, target_vec)):
-                    continue
-                if w in depth_of:
-                    continue
-                depth_of[w] = depth
-                parent[w] = (v, cfg)
-                next_frontier.append(w)
-                if w == target_vec:
-                    found = True
-        frontier = next_frontier
-    stats = None
-    if collect_stats:
-        level_sizes = _level_sizes(problem)
-        stats = DPStats(
-            sigma=problem.table_size,
-            num_levels=len(level_sizes),
-            level_sizes=level_sizes,
-            num_configs=len(configs),
-            states_computed=len(depth_of),
-            config_scans=scans,
-        )
-    if target_vec not in depth_of:
-        return DPResult(opt=None, engine="frontier", stats=stats)
-    opt = depth_of[target_vec]
-    if limit is not None and opt > limit:
-        return DPResult(opt=None, engine="frontier", stats=stats)
-    machine_configs: tuple[tuple[int, ...], ...] = ()
-    if track_schedule:
-        chain: list[tuple[int, ...]] = []
-        v = target_vec
-        while any(v):
-            v, cfg = parent[v]
-            chain.append(cfg)
-        machine_configs = tuple(chain)
-    return DPResult(
-        opt=opt, machine_configs=machine_configs, engine="frontier", stats=stats
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -731,12 +552,14 @@ DEFAULT_DP_ENGINE = "numpy"
 
 SEQUENTIAL_ENGINES: dict[str, Callable[..., DPResult]] = {
     "table": solve_table,
-    "memo": solve_memo,
-    "frontier": solve_frontier,
     "dominance": solve_dominance,
     "numpy": solve_numpy,
     "config-ilp": _solve_config_ilp_lazy,
 }
+
+#: Engines kept as independent oracles, not for speed.  Every other
+#: engine must be the fastest on some cell of ``benchmarks/bench_engines.py``.
+ORACLE_ENGINES = frozenset({"table", "config-ilp"})
 
 
 def solve(

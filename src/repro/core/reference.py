@@ -160,10 +160,6 @@ def _dp(
 
     import sys
 
-    need = sum(counts) * 2 + 64
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
     def opt(v: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
         if not any(v):
             return 0, None
@@ -179,7 +175,14 @@ def _dp(
         memo[v] = best
         return best
 
-    value, _ = opt(counts)
+    # The recursion is one frame per machine; lift the interpreter's
+    # limit for this call only.
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, sum(counts) * 2 + 64))
+    try:
+        value, _ = opt(counts)
+    finally:
+        sys.setrecursionlimit(old_limit)
     # Backtrack the chosen configurations.
     chosen: list[tuple[int, ...]] = []
     v = counts

@@ -4,15 +4,17 @@ The :mod:`repro.qa` package turns the repo's redundancy — four exact
 solvers, five approximation engines, two problem variants, two solve
 paths — into an automated oracle.  A seeded fuzzer
 (:mod:`repro.qa.fuzzer`) draws instances from the paper's workload
-families and checks three relation classes (:mod:`repro.qa.oracles`):
-cross-engine agreement, metamorphic invariants, and wire/in-process
-service equivalence.  Failures are ddmin-minimized
+families and checks four relation classes (:mod:`repro.qa.oracles`):
+cross-engine agreement, metamorphic invariants, wire/in-process service
+equivalence, and (``--oracle dp``) DP-layer agreement between every DP
+engine, the reference DP and the wavefront backends.  Failures are ddmin-minimized
 (:mod:`repro.qa.reduce`) and written as replayable JSON repro files
 (:mod:`repro.qa.corpus`).
 
 Command line::
 
     repro-pcmax qa fuzz --seed 0 --budget 200
+    repro-pcmax qa fuzz --oracle dp --seed 0 --budget 200
     repro-pcmax qa replay corpus/qa-cross_engine-<hash>.json
     python -m repro.qa fuzz ...      # same thing, module form
 
@@ -34,6 +36,7 @@ from repro.qa.oracles import (
     EngineRun,
     Violation,
     cross_engine_violations,
+    dp_violations,
     metamorphic_violations,
     run_engine,
     run_engines,
@@ -57,6 +60,7 @@ __all__ = [
     "run_engine",
     "run_engines",
     "cross_engine_violations",
+    "dp_violations",
     "metamorphic_violations",
     "service_equivalence_violations",
     "ddmin",

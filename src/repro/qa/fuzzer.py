@@ -3,7 +3,9 @@
 :func:`run_fuzz` draws instances from the paper's workload families
 (:mod:`repro.workloads.families`) — both ``p_cmax`` and ``q_cmax`` —
 runs every registered engine whose declared capabilities match, and
-applies the three oracle classes of :mod:`repro.qa.oracles`.  Every
+applies the oracle classes of :mod:`repro.qa.oracles`: cross-engine,
+metamorphic and (sampled) service by default, or the one class named by
+:attr:`FuzzConfig.oracle` — the DP-layer oracle runs only that way.  Every
 failure is minimized with :func:`repro.qa.reduce.shrink_case` and
 persisted as a replayable repro file (:mod:`repro.qa.corpus`).
 
@@ -28,11 +30,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.model.instance import Instance
 from repro.model.problem import P_CMAX, Q_CMAX, canonical_problem_name
 from repro.qa.corpus import ReproCase, write_repro
 from repro.qa.oracles import (
     Violation,
     cross_engine_violations,
+    dp_violations,
     metamorphic_violations,
     run_engines,
     service_equivalence_violations,
@@ -51,7 +55,7 @@ from repro.workloads.families import FAMILIES, SPEED_FAMILIES
 HEAVY_ENGINES = frozenset({"ilp"})
 
 #: Oracle-class names in reporting order.
-ORACLES = ("cross_engine", "metamorphic", "service")
+ORACLES = ("cross_engine", "metamorphic", "service", "dp")
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,10 @@ class FuzzConfig:
     test uses to inject a deliberately buggy engine and watch the
     oracles catch it.  Extra engines never reach the service oracle
     (the server resolves names against the real registry).
+
+    ``oracle`` names one class of :data:`ORACLES` to run alone on every
+    case; ``None`` runs cross-engine, metamorphic (``metamorphic``) and
+    the sampled service oracle (``service``).
     """
 
     seed: int = 0
@@ -80,6 +88,7 @@ class FuzzConfig:
     extra_engines: Mapping[str, EngineSpec] = field(default_factory=dict)
     metamorphic: bool = True
     service: bool = True
+    oracle: str | None = None
 
     def __post_init__(self) -> None:
         if self.problem not in ("both", P_CMAX, Q_CMAX):
@@ -89,6 +98,10 @@ class FuzzConfig:
             )
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
+        if self.oracle is not None and self.oracle not in ORACLES:
+            raise ValueError(
+                f"unknown oracle {self.oracle!r}; expected one of {sorted(ORACLES)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,9 +141,11 @@ class FuzzReport:
             f"fuzz: {self.cases} cases, {self.engine_case_runs} engine runs, "
             f"{len(self.failures)} failure(s) "
             f"(seed={self.config.seed}, budget={self.config.budget}, "
-            f"problem={self.config.problem})",
-            f"pairs covered: {pairs}",
+            f"problem={self.config.problem}, "
+            f"oracle={self.config.oracle or 'default'})",
         ]
+        if pairs:
+            lines.append(f"pairs covered: {pairs}")
         for failure in self.failures:
             lines.append(
                 f"  [{failure.oracle}] {failure.case.num_jobs} jobs x "
@@ -236,6 +251,13 @@ def _case_violations(
                 service_equivalence_violations(instance, name, case.eps)
             )
         return violations
+    if oracle == "dp":
+        # The DP layer sees only the times and the machine count.
+        return dp_violations(
+            Instance(case.times, case.machines),
+            case.eps,
+            config_ilp=index % config.ilp_every == 0,
+        )
     raise ValueError(f"unknown oracle {oracle!r}; expected one of {sorted(ORACLES)}")
 
 
@@ -301,13 +323,20 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         if len(report.failures) >= config.max_failures:
             break
         case = draw_case(config, index)
+        report.cases += 1
+        if config.oracle is not None:
+            violations = _case_violations(config, case, config.oracle, index)
+            if violations:
+                _record_failure(
+                    report, config, case, config.oracle, index, violations
+                )
+            continue
+
         instance = case.instance()
         engines = engines_for(config, case, index)
-        report.cases += 1
         report.engine_case_runs += len(engines)
         for name, _spec in engines:
             report.pairs_covered.add((name, case.problem))
-
         runs = run_engines(engines, instance, case.eps)
         violations = cross_engine_violations(instance, runs)
         if violations:
@@ -356,7 +385,7 @@ def replay_case(
 ) -> list[Violation]:
     """Re-run the oracles on a recorded case; empty list = the failure
     no longer reproduces.  *oracle* restricts to one class (the one the
-    repro file names); ``None`` runs all three."""
+    repro file names); ``None`` runs all of :data:`ORACLES`."""
     if config is None:
         config = FuzzConfig(
             corpus_dir="qa-corpus",

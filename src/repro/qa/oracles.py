@@ -1,4 +1,4 @@
-"""The three oracle classes of the differential fuzzing harness.
+"""The four oracle classes of the differential fuzzing harness.
 
 Hand-written tests encode *expected outputs*; these oracles encode
 *relations that must hold between outputs*, so they keep working on
@@ -20,6 +20,13 @@ instances nobody anticipated:
    — a solve through the JSON-lines wire protocol byte-matches the
    in-process facade result once both are reduced to the canonical
    fingerprint of :func:`repro.service.cache.canonicalize_result`.
+4. **DP-layer agreement** (:func:`dp_violations`) — at a few probe
+   targets, every sequential DP engine, the top-down transcription
+   :func:`repro.core.reference._dp` and every wavefront backend and
+   schedule of :func:`repro.core.parallel_dp.parallel_dp` report the
+   same ``OPT(N)``, and every backtracked configuration list is a valid
+   packing.  This checks the layer where the engines differ, below the
+   makespan the other oracles see.
 
 Each function returns a list of :class:`Violation` records (empty =
 clean) rather than raising, so the fuzzer can collect, minimize, and
@@ -534,3 +541,134 @@ def service_equivalence_violations(
             )
         ]
     return []
+
+
+#: Wavefront backends the DP oracle diffs (``process`` is left out: it
+#: spawns worker processes per call, too slow for a fuzz loop), and
+#: their worker count — two, so chunks of a level really split.
+DP_BACKENDS = ("numpy-serial", "serial", "thread", "simulated")
+DP_WORKERS = 2
+
+
+def _probe_problems(instance: Instance, eps: float) -> list:
+    """The rounded DP problems a bisection would pose at the bounds'
+    lower end, midpoint and upper end (Eqs. 1–2), each both uncapped
+    (the printed Eq. 3) and with the guarantee fix's ``k - 1`` job cap."""
+    from repro.core.bounds import makespan_bounds
+    from repro.core.dp import DPProblem
+    from repro.core.rounding import accuracy_parameter, round_instance
+
+    k = accuracy_parameter(eps)
+    bounds = makespan_bounds(instance)
+    targets = sorted({bounds.lower, bounds.midpoint(), bounds.upper})
+    rounded = [round_instance(instance, target, k) for target in targets]
+    return [
+        DPProblem(r.class_sizes, r.class_counts, r.target, job_cap=cap)
+        for r in rounded
+        for cap in ((None, k - 1) if k > 1 else (None,))
+    ]
+
+
+def _witness_faults(problem, opt: int, configs: Sequence[Sequence[int]]) -> list[str]:
+    """What is wrong with *configs* as an ``opt``-machine packing of
+    *problem* (empty = valid)."""
+    faults = [] if len(configs) == opt else [f"{len(configs)} configurations for OPT {opt}"]
+    for cfg in configs:
+        load = sum(s * c for s, c in zip(problem.class_sizes, cfg))
+        if load > problem.target:
+            faults.append(f"{tuple(cfg)} loads {load} > T {problem.target}")
+        if problem.job_cap is not None and sum(cfg) > problem.job_cap:
+            faults.append(f"{tuple(cfg)} exceeds job cap {problem.job_cap}")
+    totals = tuple(sum(cfg[c] for cfg in configs) for c in range(len(problem.counts)))
+    if totals != problem.counts:
+        faults.append(f"configurations sum to {totals}, not N = {problem.counts}")
+    return faults
+
+
+def _dp_subjects(problem, *, config_ilp: bool):
+    """``(name, run)`` pairs, ``table`` first: ``run(limit)`` returns
+    ``(opt, configs)``.  The top-down ``reference`` takes no limit and
+    only ever gets ``None``."""
+    from repro.core.dp import SEQUENTIAL_ENGINES, solve
+    from repro.core.parallel_dp import SCHEDULES, parallel_dp
+    from repro.core.reference import _dp
+
+    def unpack(result):
+        return result.opt, result.machine_configs
+
+    subjects = [
+        (name, lambda limit, name=name: unpack(solve(problem, name, limit=limit)))
+        for name in sorted(SEQUENTIAL_ENGINES, key=lambda n: n != "table")
+        if config_ilp or name != "config-ilp"
+    ]
+    if problem.job_cap is None:
+
+        def top_down(limit):
+            opt, slots = _dp(problem.class_sizes, problem.counts, problem.target)
+            # Per-machine lists of rounded sizes -> class-count vectors.
+            return opt, [tuple(map(slot.count, problem.class_sizes)) for slot in slots]
+
+        subjects.append(("reference", top_down))
+    for backend in DP_BACKENDS:
+        for schedule in SCHEDULES:
+            subjects.append(
+                (
+                    f"parallel-{backend}/{schedule}",
+                    lambda limit, b=backend, sc=schedule: unpack(
+                        parallel_dp(problem, DP_WORKERS, b, limit=limit, schedule=sc)
+                    ),
+                )
+            )
+    return subjects
+
+
+def dp_violations(
+    instance: Instance, eps: float, *, config_ilp: bool = True
+) -> list[Violation]:
+    """Oracle class 4: DP-layer agreement on the probes of *instance*.
+
+    For each problem of :func:`_probe_problems`, the faithful ``table``
+    engine sets the expected ``OPT``.  Every other subject must match it
+    (check ``opt``); every subject must return a packing that fits ``T``,
+    respects the job cap and sums to ``N`` (check ``witness``) and must
+    honour the bisection's decision ``limit``: ``None`` at ``OPT - 1``,
+    ``OPT`` at ``OPT`` (check ``limit``).  *config_ilp* gates the HiGHS
+    engine (a MILP per solve; the fuzzer samples it)."""
+    violations: list[Violation] = []
+    for problem in _probe_problems(instance, eps):
+        label = (
+            f"sizes={problem.class_sizes} N={problem.counts} "
+            f"T={problem.target} cap={problem.job_cap}"
+        )
+        expected = None
+        for name, run in _dp_subjects(problem, config_ilp=config_ilp):
+            try:
+                opt, configs = run(None)
+                if name == "table":
+                    expected = opt
+                limited = (
+                    None
+                    if name == "reference" or not expected
+                    else (run(expected - 1)[0], run(expected)[0])
+                )
+            except Exception as exc:  # noqa: BLE001 - capture, don't crash
+                violations.append(
+                    Violation("dp", "error", name, f"{label}: {type(exc).__name__}: {exc}")
+                )
+                continue
+            if opt != expected:
+                violations.append(
+                    Violation("dp", "opt", name, f"{label}: OPT {opt}, table says {expected}")
+                )
+                continue
+            for fault in _witness_faults(problem, opt, configs):
+                violations.append(Violation("dp", "witness", name, f"{label}: {fault}"))
+            if limited is not None and limited != (None, expected):
+                violations.append(
+                    Violation(
+                        "dp", "limit", name,
+                        f"{label}: limit OPT-1 / OPT gave {limited}, "
+                        f"expected (None, {expected})",
+                    )
+                )
+    return violations

@@ -427,6 +427,11 @@ class SupervisorPool:
         """Route the request to its shard's worker (by the canonical key
         it already carries) and await the answer, degrading
         supervisor-side if the deadline fires first."""
+        if deadline_at is not None and self.clock() > deadline_at:
+            # Expired while queued: answer as the thread lane does,
+            # without shipping a solve the worker would only abandon.
+            self.metrics.counter("pool.deadline_degradations").inc()
+            return fallback_result(prepared.request)
         shard = shard_index(prepared.key, self.num_workers)
         job = _PoolJob(
             job_id=f"{next(self._seq):08d}",

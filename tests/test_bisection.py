@@ -81,11 +81,22 @@ class TestBisection:
         assert outcome.rounded.num_long_jobs == 0
         assert outcome.dp_result.opt == 0
 
-    @pytest.mark.parametrize("engine", ["table", "frontier", "dominance"])
+    @pytest.mark.parametrize("engine", ["table", "dominance"])
     def test_engines_reach_same_target(self, small_instance, engine):
         base = bisect_target_makespan(small_instance, 4, make_solver("table"))
         other = bisect_target_makespan(small_instance, 4, make_solver(engine))
         assert other.final_target == base.final_target
+
+    def test_dominance_stops_at_the_machine_budget(self):
+        """The decision ``limit`` each probe passes is an early exit for
+        ``dominance``: an over-budget probe answers ``opt=None`` after at
+        most ``m`` machine steps instead of solving to ``OPT``."""
+        problem = DPProblem((7,), (6,), 10)  # no two jobs share a machine
+        full = solve(problem, "dominance", collect_stats=True)
+        capped = solve(problem, "dominance", limit=2, collect_stats=True)
+        assert full.opt == 6 and capped.opt is None
+        assert capped.stats.config_scans < full.stats.config_scans
+        assert capped.stats.states_computed == 3  # depths 0, 1 and 2
 
 
 class TestWarmStart:

@@ -1,6 +1,5 @@
-"""Tests for :mod:`repro.core.context`: the unified SolveContext API,
-the deprecation shims that replace the legacy kwargs, and the service's
-context construction."""
+"""Tests for :mod:`repro.core.context`: the unified SolveContext API and
+the service's context construction."""
 
 from __future__ import annotations
 
@@ -70,37 +69,10 @@ class TestResolveContext:
         default = SolveContext(warm_start=False)
         assert resolve_context(None, default=default) is default
 
-    def test_legacy_kwargs_warn_and_override(self):
-        hook = lambda: None  # noqa: E731
-        with pytest.warns(DeprecationWarning, match="warm_start"):
-            ctx = resolve_context(warm_start=False, caller="x")
-        assert ctx.warm_start is False
-        with pytest.warns(DeprecationWarning, match="check_deadline"):
-            ctx = resolve_context(check_deadline=hook, caller="x")
-        assert ctx.check_deadline is hook
-
 
 class TestDeprecationShims:
-    """Acceptance: the legacy kwargs only work via warning shims."""
-
-    def test_ptas_warm_start_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"ptas\(warm_start"):
-            result = ptas(INSTANCE, 0.3, warm_start=False)
-        assert result.schedule.makespan >= 1
-
-    def test_ptas_check_deadline_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"ptas\(check_deadline"):
-            ptas(INSTANCE, 0.3, check_deadline=lambda: None)
-
-    def test_parallel_ptas_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match=r"parallel_ptas\(warm_start"):
-            parallel_ptas(INSTANCE, 0.3, 2, backend="numpy-serial", warm_start=False)
-
-    def test_bisect_kwargs_warn(self):
-        with pytest.warns(
-            DeprecationWarning, match=r"bisect_target_makespan\(warm_start"
-        ):
-            bisect_target_makespan(INSTANCE, 4, _standard_solver, warm_start=True)
+    """The legacy ``warm_start=`` / ``check_deadline=`` kwargs are gone;
+    no entry point emits a DeprecationWarning."""
 
     def test_ctx_only_calls_do_not_warn(self, recwarn):
         ptas(INSTANCE, 0.3, ctx=SolveContext(warm_start=False))
@@ -110,15 +82,21 @@ class TestDeprecationShims:
         bisect_target_makespan(INSTANCE, 4, _standard_solver, ctx=SolveContext())
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
-    def test_shim_message_points_at_the_facade(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.solve\(\) facade"):
-            ptas(INSTANCE, 0.3, warm_start=False)
+    def test_legacy_kwargs_are_rejected(self):
+        for call in (
+            lambda: ptas(INSTANCE, 0.3, warm_start=False),
+            lambda: parallel_ptas(INSTANCE, 0.3, 2, check_deadline=lambda: None),
+            lambda: bisect_target_makespan(
+                INSTANCE, 4, _standard_solver, warm_start=True
+            ),
+        ):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                call()
 
     def test_no_internal_path_uses_the_shims(self):
-        """Deprecation sweep acceptance: every internal caller passes
-        ``ctx=``, so the full spread of entry points — the facade, the
-        registry, a deadline-bearing service-style solve — runs clean
-        with DeprecationWarning escalated to an error."""
+        """The full spread of entry points — the facade, the registry, a
+        deadline-bearing service-style solve — runs clean with
+        DeprecationWarning escalated to an error."""
         import warnings
 
         import repro
@@ -144,16 +122,6 @@ class TestDeprecationShims:
 
 
 class TestContextEquivalence:
-    def test_ctx_matches_legacy_warm_start_results(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = ptas(INSTANCE, 0.3, warm_start=False)
-        via_ctx = ptas(INSTANCE, 0.3, ctx=SolveContext(warm_start=False))
-        assert via_ctx.final_target == legacy.final_target
-        assert via_ctx.schedule.makespan == legacy.schedule.makespan
-        assert (
-            via_ctx.outcome.num_iterations == legacy.outcome.num_iterations
-        )
-
     def test_bisect_default_stays_faithful(self):
         """The standalone bisection still defaults to the paper-faithful
         (no warm start) search when no context is given."""

@@ -17,13 +17,12 @@ from repro.core.dp import (
     level_of,
     solve,
     solve_dominance,
-    solve_frontier,
-    solve_memo,
     solve_numpy,
     solve_table,
     unrank,
 )
 from repro.core.parallel_dp import parallel_dp
+from repro.core.reference import _dp as reference_dp
 
 from conftest import dp_problems
 
@@ -181,21 +180,24 @@ class TestStats:
 @given(dp_problems())
 @settings(max_examples=60)
 def test_property_engines_agree(problem: DPProblem):
-    """All five engines return the same OPT and valid witnesses."""
+    """``dominance``, ``numpy`` and the independent top-down
+    transcription of Eq. 4 in :mod:`repro.core.reference` return the
+    same OPT as ``table`` and valid witnesses."""
     reference = solve_table(problem, track_schedule=True)
     assert reference.opt is not None
     check_witness(problem, reference.opt, reference.machine_configs)
-    for name, fn in (
-        ("memo", solve_memo),
-        ("frontier", solve_frontier),
-        ("dominance", solve_dominance),
-        ("numpy", solve_numpy),
-    ):
+    for name, fn in (("dominance", solve_dominance), ("numpy", solve_numpy)):
         result = fn(problem)
         assert result.opt == reference.opt, (
             f"{name} disagrees with table: {result.opt} != {reference.opt}"
         )
         check_witness(problem, result.opt, result.machine_configs)
+    top_down, slots = reference_dp(problem.class_sizes, problem.counts, problem.target)
+    assert top_down == reference.opt, (
+        f"reference._dp disagrees with table: {top_down} != {reference.opt}"
+    )
+    witness = [tuple(map(slot.count, problem.class_sizes)) for slot in slots]
+    check_witness(problem, top_down, witness)
 
 
 @given(dp_problems(), st.integers(min_value=1, max_value=4))
@@ -213,7 +215,7 @@ def test_property_engines_agree_under_job_cap(problem: DPProblem, cap: int):
     check_witness(capped, reference.opt, reference.machine_configs)
     for cfg in reference.machine_configs:
         assert sum(cfg) <= cap
-    for fn in (solve_memo, solve_frontier, solve_dominance, solve_numpy):
+    for fn in (solve_dominance, solve_numpy):
         result = fn(capped)
         assert result.opt == reference.opt
         for cfg in result.machine_configs:

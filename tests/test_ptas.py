@@ -62,7 +62,7 @@ class TestSequentialPTAS:
         with pytest.raises(ValueError):
             ptas(Instance([1], 1), eps=0.0)
 
-    @pytest.mark.parametrize("engine", ["table", "memo", "frontier", "numpy"])
+    @pytest.mark.parametrize("engine", ["table", "numpy"])
     def test_engines_equal_makespan(self, small_instance, engine):
         reference = ptas(small_instance, 0.3, engine="table")
         other = ptas(small_instance, 0.3, engine=engine)

@@ -23,6 +23,7 @@ from repro.qa import (
     ReproCase,
     cross_engine_violations,
     ddmin,
+    dp_violations,
     draw_case,
     load_repro,
     metamorphic_violations,
@@ -219,6 +220,34 @@ class TestOracles:
         inst = Instance([9, 8, 7, 6, 5], 2)
         assert service_equivalence_violations(inst, "lpt", 0.3) == []
 
+    def test_dp_clean_on_every_engine_and_backend(self):
+        inst = Instance([19, 17, 16, 12, 11, 9, 8, 8, 5, 3], 3)
+        assert dp_violations(inst, 0.3) == []
+
+    @pytest.mark.parametrize(
+        "fault, check",
+        [("opt", "opt"), ("witness", "witness"), ("limit", "limit")],
+    )
+    def test_dp_catches_a_faulty_engine(self, monkeypatch, fault, check):
+        from repro.core import dp
+
+        honest = dp.SEQUENTIAL_ENGINES["numpy"]
+
+        def faulty(problem, *, limit=None, **kw):
+            if fault == "limit":
+                return honest(problem, **kw)  # ignores the decision limit
+            result = honest(problem, limit=limit, **kw)
+            if result.opt is None:
+                return result
+            if fault == "opt":
+                return dp.DPResult(opt=result.opt + 1, engine="numpy")
+            return dp.DPResult(opt=result.opt, machine_configs=result.machine_configs[1:])
+
+        monkeypatch.setitem(dp.SEQUENTIAL_ENGINES, "numpy", faulty)
+        violations = dp_violations(Instance([19, 17, 16, 12, 11, 9], 2), 0.3)
+        assert violations
+        assert {(v.engine, v.check) for v in violations} == {("numpy", check)}
+
 
 class TestFuzzer:
     def test_draw_case_is_deterministic(self):
@@ -283,6 +312,26 @@ class TestFuzzer:
         assert record["oracle"] == "cross_engine"
         assert violations == []
 
+    def test_dp_failure_is_shrunk_and_replays(self, tmp_path, monkeypatch):
+        from repro.core import dp
+
+        honest = dp.SEQUENTIAL_ENGINES["dominance"]
+
+        def off_by_one(problem, *, limit=None, **kw):
+            return honest(problem, limit=None if limit is None else limit - 1, **kw)
+
+        monkeypatch.setitem(dp.SEQUENTIAL_ENGINES, "dominance", off_by_one)
+        config = FuzzConfig(
+            seed=0, budget=20, corpus_dir=tmp_path, oracle="dp", max_failures=1
+        )
+        report = run_fuzz(config)
+        (failure,) = report.failures
+        assert failure.oracle == "dp"
+        assert failure.case.num_jobs <= failure.original.num_jobs
+        record, violations = replay_file(failure.path)
+        assert record["oracle"] == "dp"
+        assert {(v.engine, v.check) for v in violations} == {("dominance", "limit")}
+
 
 class TestCLI:
     def test_fuzz_exit_zero_when_clean(self, tmp_path, capsys):
@@ -294,6 +343,21 @@ class TestCLI:
         assert code == 0
         assert "10 cases" in out
         assert "0 failure(s)" in out
+
+    def test_fuzz_dp_oracle_runs_alone(self, tmp_path, capsys):
+        code = main([
+            "qa", "fuzz", "--oracle", "dp", "--seed", "0", "--budget", "10",
+            "--corpus", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "10 cases, 0 engine runs, 0 failure(s)" in out
+        assert "oracle=dp" in out
+
+    def test_fuzz_rejects_an_unknown_oracle(self, tmp_path, capsys):
+        code = main(["qa", "fuzz", "--oracle", "nope", "--corpus", str(tmp_path)])
+        assert code == 2
+        assert "unknown oracle 'nope'" in capsys.readouterr().err
 
     def test_replay_cli_round_trip(self, tmp_path, capsys):
         case = ReproCase(problem="p_cmax", times=(5, 5, 4), machines=2)

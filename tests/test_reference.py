@@ -6,11 +6,13 @@ the transcription has a bug — both worth knowing immediately.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from repro.core.ptas import ptas
-from repro.core.reference import algorithm1
+from repro.core.reference import _dp, algorithm1
 from repro.exact.brute import brute_force
 from repro.model.instance import Instance
 
@@ -39,6 +41,14 @@ class TestReferenceAlgorithm:
 
         inst = Instance([8, 7, 6, 5, 4, 3], 2)
         assert algorithm1(inst, 1.5).makespan == lpt(inst).makespan
+
+    def test_dp_restores_the_recursion_limit(self):
+        """A deep recursion (one frame per machine) lifts the limit for
+        the call only."""
+        before = sys.getrecursionlimit()
+        opt, slots = _dp((3,), (1500,), 3)
+        assert opt == 1500 and len(slots) == 1500
+        assert sys.getrecursionlimit() == before
 
 
 class TestAgreementWithModularPipeline:

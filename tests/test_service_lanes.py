@@ -79,3 +79,26 @@ def test_thread_and_process_lanes_answer_alike():
         assert solves[name][0] == "error", name
     assert solves["deadline degrade"][0] == "ok" and solves["deadline degrade"][3]
     assert events == [("ok", 0, 0), ("ok", 7, 3), ("ok", 7, 3)]
+
+
+@pytest.mark.slow
+def test_pool_answers_an_expired_deadline_without_shipping_it():
+    """A request whose deadline passed before dispatch degrades in the
+    supervisor, as on the thread lane: no worker solves it, so no late
+    result comes back to be dropped."""
+    expired = dict(BATTERY)["deadline degrade"]
+
+    async def scenario():
+        svc = SolveService(SupervisorPool(1, spawn_grace=120))
+        try:
+            result = await svc.handle(expired)
+            await asyncio.sleep(0.5)  # room for a worker reply to land
+            return result, (await svc.stats())["counters"]
+        finally:
+            await svc.aclose()
+
+    result, counters = asyncio.run(scenario())
+    assert result.status == "ok" and result.degraded
+    assert counters.get("pool.solves_total", 0) == 0
+    assert counters.get("pool.late_results_dropped", 0) == 0
+    assert counters["pool.deadline_degradations"] == 1
