@@ -28,8 +28,8 @@ declared oracle (:data:`repro.core.dp.ORACLE_ENGINES`) is the winner of
 at least one cell.  An engine that wins nowhere and diffs against
 nothing has no reason to exist.
 
-Results land under the ``"engines"`` section of ``BENCH_dp.json``, one
-run per ``(cell, engine)``, fingerprint-stamped via
+Results replace the ``"engines"`` section of ``BENCH_dp.json``: exactly
+one run per measured ``(cell, engine)``, fingerprint-stamped via
 :mod:`repro.io.benchjson`, with the per-cell ``winners``.  ``--markdown``
 prints the recorded section as the measured table of ``docs/engines.md``
 without re-measuring.
@@ -44,7 +44,7 @@ from pathlib import Path
 
 import repro
 from repro.core.dp import ORACLE_ENGINES, SEQUENTIAL_ENGINES
-from repro.io.benchjson import instance_fingerprint, load_bench, merge_runs, update_section
+from repro.io.benchjson import instance_fingerprint, load_bench, stamp_runs, update_section
 from repro.workloads.generator import make_instance
 
 #: (kind, family, machines, jobs, eps, instances) per cell.  The service
@@ -62,7 +62,6 @@ CELLS = (
 ENGINES = tuple(SEQUENTIAL_ENGINES)
 SECTION = "engines"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dp.json"
-RUN_KEY = ("cell", "engine")
 
 
 def cell_name(kind: str, family: str, m: int, n: int) -> str:
@@ -153,12 +152,11 @@ def main() -> int:
         )
     winners = winners_of(runs)
     failures = gate_failures(winners)
-    previous = load_bench(OUTPUT).get(SECTION, {})
     section = {
         "benchmark": "median ms per repro.solve(engine='ptas') per DP engine and cell",
         "fingerprint": fingerprint,
         "workload": workload_descriptor(),
-        "runs": merge_runs(previous.get("runs"), runs, fingerprint, key_fields=RUN_KEY),
+        "runs": stamp_runs(runs, fingerprint),
         "winners": winners,
         "gate": {
             "rule": "every engine outside oracle_engines wins at least one cell",

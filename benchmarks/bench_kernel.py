@@ -14,9 +14,9 @@ rather than by pool startup — and times:
 * ``legacy-thread`` — the seed's pure-Python per-state loop (the old
   ``_compute_states`` worker, preserved verbatim below as the baseline)
   on the thread backend;
-* the vectorized :class:`~repro.core.kernels.LevelKernel` on every
-  backend (numpy-serial, serial, thread, process), tile-diagonal
-  ``runs`` schedule where the backend supports it;
+* the vectorized :class:`~repro.core.kernels.LevelKernel` on the
+  ``numpy-serial`` sweep and the ``thread`` backend (tile-diagonal
+  ``runs`` schedule);
 * the **modeled** tile-diagonal schedule on the calibrated
   :class:`~repro.simcore.machine.SimulatedMachine` at 1/2/4 workers.
 
@@ -37,12 +37,13 @@ Gates (hard — non-zero exit on failure):
 * ``--check-baseline`` recomputes the (deterministic) modeled speedups
   and fails if any fell below the recorded ``BENCH_dp.json`` baseline by
   more than the tolerance — the CI regression tripwire for the planner
-  and the cost model.
+  and the cost model — or if a recorded run names a backend that
+  :data:`repro.core.parallel_dp.BACKENDS` no longer has.
 
-Results land under the ``"wavefront"`` section of ``BENCH_dp.json`` at
-the repo root, each run stamped with the instance fingerprint and its
-backend configuration (:mod:`repro.io.benchjson`), so stale entries from
-another instance or backend matrix cannot masquerade as current.
+Results replace the ``"wavefront"`` section of ``BENCH_dp.json`` at the
+repo root: exactly the runs this invocation measured, each stamped with
+the instance fingerprint (:mod:`repro.io.benchjson`), so no row from
+another instance or an earlier backend matrix outlives a re-run.
 
 A final traced run records the per-level span breakdown of one
 numpy-serial table fill and asserts the ``level`` spans cover ≥ 80% of
@@ -60,13 +61,13 @@ import numpy as np
 from repro.core.bounds import makespan_bounds
 from repro.core.context import SolveContext
 from repro.core.dp import DPProblem, solve_table
-from repro.core.kernels import LevelKernel, build_level_arrays, table_to_optional
-from repro.core.parallel_dp import compute_table, parallel_dp
+from repro.core.kernels import build_level_arrays, table_to_optional
+from repro.core.parallel_dp import BACKENDS, compute_table, parallel_dp
 from repro.core.rounding import round_instance
-from repro.io.benchjson import instance_fingerprint, load_bench, merge_runs, update_section
+from repro.io.benchjson import instance_fingerprint, load_bench, stamp_runs, update_section
 from repro.obs import Tracer
 from repro.parallel.cpus import usable_cpus
-from repro.parallel.executor import ThreadExecutor, make_executor, shutdown_pools
+from repro.parallel.executor import ThreadExecutor
 from repro.parallel.partition import round_robin_partition
 from repro.simcore.machine import SimulatedMachine
 from repro.workloads.generator import make_instance
@@ -74,7 +75,6 @@ from repro.workloads.generator import make_instance
 FAMILY, M, N, SEED = "u_10n", 10, 50, 0
 K = 5
 THREAD_WORKERS = (1, 2, 4)
-PROCESS_WORKERS = (2,)
 MODEL_WORKERS = (1, 2, 4)
 REPS = 2
 #: Kernel-vs-legacy floor (vectorization win).
@@ -86,8 +86,9 @@ BASELINE_TOLERANCE = 0.9
 SECTION = "wavefront"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dp.json"
 
-#: Fields identifying one run configuration within the section.
-RUN_KEY = ("backend", "workers", "schedule")
+#: The one recorded backend that is not a wavefront backend: the seed's
+#: pure-Python thread loop, kept as the vectorization baseline.
+LEGACY_BACKEND = "legacy-thread"
 
 
 def build_problem() -> DPProblem:
@@ -195,6 +196,26 @@ def check_model_gate(speedups: dict[int, float]) -> list[str]:
     return failures
 
 
+def unknown_backend_failures(section: dict) -> list[str]:
+    """One failure per recorded run whose backend is neither a wavefront
+    backend nor the legacy baseline — a row measuring code that is gone."""
+    return [
+        f"recorded run {run.get('backend')!r} w={run.get('workers')} names no "
+        f"backend of {BACKENDS} — re-run the full benchmark"
+        for run in section.get("runs", [])
+        if run.get("backend") not in (*BACKENDS, LEGACY_BACKEND)
+    ]
+
+
+def write_section(payload: dict, runs: list[dict], path: Path = OUTPUT) -> dict:
+    """Replace the ``wavefront`` section of *path* with *payload* and
+    exactly *runs*, stamped with ``payload["fingerprint"]``; earlier runs
+    are dropped, not merged.  Returns the written section."""
+    section = {**payload, "runs": stamp_runs(runs, payload["fingerprint"])}
+    update_section(path, SECTION, section)
+    return section
+
+
 def check_baseline() -> int:
     """CI mode: recompute modeled speedups, compare against the recorded
     baseline (no measured runs — fully deterministic, seconds to run)."""
@@ -228,6 +249,8 @@ def check_baseline() -> int:
                     f"modeled speedup @ w={w} regressed: {speedups[w]:.3f}x < "
                     f"{floor:.3f}x (baseline {base:.3f}x × tolerance {BASELINE_TOLERANCE})"
                 )
+    if section is not None:
+        failures.extend(unknown_backend_failures(section))
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
@@ -284,30 +307,10 @@ def main() -> int:
 
     serial_elapsed, table = timed(lambda: compute_table(problem, 1, "numpy-serial"))
     record("numpy-serial", 1, serial_elapsed, table, schedule="levels")
-    elapsed, table = timed(lambda: compute_table(problem, 1, "serial"))
-    record("serial", 1, elapsed, table)
 
     for w in THREAD_WORKERS:
         elapsed, table = timed(lambda w=w: compute_table(problem, w, "thread"))
         record("thread", w, elapsed, table)
-
-    kernel = LevelKernel.for_problem(problem)
-    for w in PROCESS_WORKERS:
-        ex = make_executor("process", w, reuse=True)
-        try:
-            # Warm the pool once so spawn cost is not in the timing —
-            # exactly what the persistent pool buys the bisection driver.
-            compute_table(problem, w, "process", executor=ex, kernel=kernel)
-            elapsed, table = timed(
-                lambda w=w: compute_table(
-                    problem, w, "process", executor=ex, kernel=kernel
-                ),
-                reps=1,
-            )
-        finally:
-            ex.close()
-            shutdown_pools()
-        record("process", w, elapsed, table)
 
     # Modeled runs: the simulator re-executes the real kernel under the
     # tile-diagonal schedule and accounts ops; calibration against the
@@ -404,14 +407,10 @@ def main() -> int:
             "wavefront instrumentation regressed"
         )
 
-    previous = load_bench(OUTPUT).get(SECTION, {})
     payload = {
         "benchmark": "wavefront kernel states/sec",
         "fingerprint": fingerprint,
         "instance": {**descriptor, "opt": opt_ref},
-        "runs": merge_runs(
-            previous.get("runs"), runs, fingerprint, key_fields=RUN_KEY
-        ),
         "modeled_speedups": {str(w): round(s, 3) for w, s in speedups.items()},
         "thread_kernel_over_legacy": {
             str(w): round(r, 2) for w, r in ratios.items()
@@ -426,7 +425,7 @@ def main() -> int:
         "trace": trace_stats,
     }
     # One section of the shared file: bench_store.py owns its own.
-    update_section(OUTPUT, SECTION, payload)
+    write_section(payload, runs)
     print(f"wrote {SECTION!r} section of {OUTPUT}")
 
     if failures:

@@ -19,8 +19,8 @@ def test_table1_sequential_dp(benchmark):
     assert result.opt == 2
 
 
-def test_table1_parallel_dp_serial_backend(benchmark):
-    result = benchmark(parallel_dp, TABLE1_PROBLEM, 4, "serial")
+def test_table1_parallel_dp_thread_backend(benchmark):
+    result = benchmark(parallel_dp, TABLE1_PROBLEM, 4, "thread")
     assert result.opt == 2
 
 

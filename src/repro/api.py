@@ -11,8 +11,8 @@ including its per-problem capability checks — and returns the same
 :class:`repro.service.SolveResult` the service would have answered with
 (makespan, assignment, a-priori guarantee, elapsed time).
 
-Cross-cutting concerns (deadline hooks, warm starts, tracing, metrics,
-shared executors) travel in a single optional
+Cross-cutting concerns (deadline hooks, warm starts, tracing, metrics)
+travel in a single optional
 :class:`repro.core.context.SolveContext`, here and on every solver
 function alike.
 
@@ -71,7 +71,7 @@ def solve(
         Relative error for the PTAS engines (ignored by baselines).
     ctx:
         Optional :class:`~repro.core.context.SolveContext` carrying
-        deadline hook, warm-start policy, tracer, metrics, executor.
+        deadline hook, warm-start policy, tracer and metrics.
     dp_engine / workers / backend / mode / time_limit:
         Engine tuning knobs, identical to their
         :class:`~repro.service.SolveRequest` fields.

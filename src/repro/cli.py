@@ -45,6 +45,7 @@ import time
 from typing import Sequence
 
 from repro.core.dp import DEFAULT_DP_ENGINE, SEQUENTIAL_ENGINES
+from repro.core.parallel_dp import BACKENDS
 from repro.core.ptas import MODES
 from repro.model.instance import Instance
 from repro.model.problem import P_CMAX, Q_CMAX, available_problems, canonical_problem_name
@@ -796,7 +797,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for parallel engines, or 'auto' (default) for "
         "cgroup-aware CPU detection",
     )
-    solve.add_argument("--backend", default="serial")
+    solve.add_argument(
+        "--backend",
+        choices=BACKENDS,
+        default="thread",
+        help="parallel-ptas wavefront backend: thread (shared-memory "
+        "threads), numpy-serial (one vectorized sweep) or simulated "
+        "(modeled multicore)",
+    )
     solve.add_argument(
         "--mode",
         choices=MODES,
@@ -937,7 +945,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="worker count or 'auto' (resolved server-side)",
     )
-    sub_cmd.add_argument("--backend", default="thread")
+    sub_cmd.add_argument(
+        "--backend",
+        choices=BACKENDS,
+        default="thread",
+        help="parallel-ptas wavefront backend (see 'solve')",
+    )
     sub_cmd.add_argument(
         "--mode",
         choices=MODES,

@@ -15,20 +15,15 @@ The context bundles
 * ``tracer`` — the :mod:`repro.obs` span tracer (default: the no-op
   :data:`~repro.obs.trace.NULL_TRACER`, which costs nanoseconds);
 * ``metrics`` — an optional metrics registry (duck-typed against
-  :class:`repro.service.metrics.MetricsRegistry`);
-* ``executor`` — an externally owned worker pool for the wavefront
-  backends (the service reuses one pool across requests).
+  :class:`repro.service.metrics.MetricsRegistry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.obs.trace import NULL_TRACER
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -69,9 +64,6 @@ class SolveContext:
     #: Optional metrics registry (duck-typed; kept out of the type system
     #: to avoid a core → service import cycle).
     metrics: Any = None
-    #: Externally owned executor for the pooled wavefront backends; the
-    #: solver never closes an executor it received here.
-    executor: "Executor | None" = None
 
     def check(self) -> None:
         """Invoke the deadline hook, if any (raises to cancel)."""

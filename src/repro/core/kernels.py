@@ -1,8 +1,8 @@
 """Vectorized anti-diagonal (wavefront) kernel shared by all backends.
 
 Every wavefront execution of the rounded DP — the numpy sequential
-engine, the serial reference, the thread backend, the shared-memory
-process backend, and the simulated multicore machine — computes the same
+engine, the numpy-serial reference, the thread backend and the
+simulated multicore machine — computes the same
 per-level update: for each state ``v`` of one anti-diagonal, minimize
 ``OPT(v - s) + 1`` over the machine configurations ``s <= v``.  This
 module holds the single implementation of that update,
@@ -15,13 +15,9 @@ whole block at once — unrank the states, componentwise bound check,
 gather of the predecessor entries, row minimum.  The step count per
 chunk does not grow with ``|C|``, so small levels pay a handful of numpy
 calls instead of one pass per configuration.  All table arithmetic is
-numpy on ``int64`` arrays, which
-
-* makes the *thread* backend genuinely parallel (numpy releases the GIL
-  during array ops, so threads scale like the paper's OpenMP loops
-  instead of serializing on pure-Python bytecode), and
-* lets the *process* backend run the identical code against a table
-  living in a ``multiprocessing.shared_memory`` block.
+numpy on ``int64`` arrays, which makes the *thread* backend genuinely
+parallel: numpy releases the GIL during array ops, so threads scale like
+the paper's OpenMP loops instead of serializing on pure-Python bytecode.
 
 Sentinel convention
 -------------------
@@ -113,9 +109,7 @@ def table_to_optional(table: np.ndarray) -> list[int | None]:
 class LevelKernel:
     """The vectorized per-level DP update, shared by every backend.
 
-    Instances are cheap, immutable in practice, and picklable — the
-    process backend ships one kernel to its pool workers and reuses it
-    for every level of a probe.
+    Instances are cheap, immutable in practice, and picklable.
     """
 
     def __init__(

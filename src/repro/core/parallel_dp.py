@@ -15,51 +15,37 @@ bit-identical by construction.
 
 Schedules
 ---------
-``levels``
-    The paper's literal schedule: one barrier per anti-diagonal, each
-    level's states round-robin across ``P`` workers.  Faithful, but at
-    realistic probe sizes the per-level dispatch + barrier overhead
-    swamps the work (the benchmarked reason the parallel backends used
-    to lose to the fused serial sweep).
-``runs`` (default for the real backends)
-    The batched tile schedule of :mod:`repro.parallel.runs`: contiguous
-    flat-index *blocks* with persistent per-worker ownership ×
-    contiguous *runs* of levels, executed along tile diagonals with one
-    barrier per diagonal (``B + R - 1`` barriers instead of ``n'``).
-    Race-free because a predecessor state is always in the same-or-lower
-    block *and* the same-or-earlier run (see the dependency argument in
-    ``repro/parallel/runs.py``); within a tile the worker sweeps its
-    levels in order.  Run length adapts to a measured per-level cost
-    model, and the block count never exceeds the CPUs the process can
-    actually use — oversubscription is pure barrier overhead.
+The ``thread`` backend always runs the batched tile schedule of
+:mod:`repro.parallel.runs`: contiguous flat-index *blocks* with
+persistent per-worker ownership × contiguous *runs* of levels, executed
+along tile diagonals with one barrier per diagonal (``B + R - 1``
+barriers instead of ``n'``).  Race-free because a predecessor state is
+always in the same-or-lower block *and* the same-or-earlier run (see the
+dependency argument in ``repro/parallel/runs.py``); within a tile the
+worker sweeps its levels in order.  Run length adapts to a measured
+per-level cost model, and the block count never exceeds the CPUs the
+process can actually use — oversubscription is pure barrier overhead.
+
+The ``simulated`` backend models either schedule (:data:`SCHEDULES`):
+``levels`` is the paper's literal one barrier per anti-diagonal, each
+level's states round-robin across ``P`` workers; ``runs`` accounts the
+tile schedule above for the same table.
 
 Backends
 --------
-``serial``
-    The wavefront order executed by one worker through the executor
-    machinery — the reference every other backend is diffed against.
 ``numpy-serial``
     Direct kernel sweep, one vectorized pass per anti-diagonal with no
-    executor or partitioning overhead — the fastest single-worker path
-    and the reference the benchmarks normalize against.
+    executor or partitioning overhead — the fastest single-worker path,
+    the reference every other backend is diffed against bit for bit and
+    the one the benchmarks normalize against.
 ``thread``
     Shared-memory threads over the one numpy table (the faithful OpenMP
     analogue).  The kernel releases the GIL inside numpy array ops, so
     threads scale on multicore hosts instead of serializing.
-``process``
-    Worker processes attached to one ``multiprocessing.shared_memory``
-    block holding the table; each dispatch ships only the flat indices
-    of its tile.  Pool workers cache the probe's kernel and table
-    mapping on first touch, so a persistent pool (see
-    :func:`repro.parallel.executor.make_executor`) pays attachment once
-    per probe, not per dispatch.
 ``simulated``
     Serial execution plus deterministic cost accounting on a
     :class:`~repro.simcore.machine.SimulatedMachine` — the testbed
-    substitute used by the speedup experiments (DESIGN.md §6).  Both
-    schedules are supported: ``levels`` reproduces the paper's model,
-    ``runs`` models the batched schedule (one barrier per tile
-    diagonal) for the same table.
+    substitute used by the speedup experiments (DESIGN.md §6).
 
 All backends produce exactly the same table, hence the same ``OPT(N)``
 and the same reconstructed machine configurations.
@@ -67,7 +53,6 @@ and the same reconstructed machine configurations.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -91,13 +76,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernels import LevelKernel
     from repro.parallel.runs import KernelCostModel, TilePlan
 
-BACKENDS = ("serial", "numpy-serial", "thread", "process", "simulated")
+BACKENDS = ("numpy-serial", "thread", "simulated")
 
-#: Backends that execute through an :class:`~repro.parallel.executor.Executor`
-#: and therefore accept an externally owned (persistent) one.
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
-
-#: Wavefront schedules (see module docstring).
+#: Wavefront schedules the ``simulated`` backend models (see module
+#: docstring).
 SCHEDULES = ("levels", "runs")
 
 #: Tables below this size skip the timed cost-model measurement when
@@ -188,121 +170,6 @@ def _plan_for(
 
 
 # ---------------------------------------------------------------------------
-# Process backend: shared-memory numpy table, kernel-running pool workers
-# ---------------------------------------------------------------------------
-
-#: Worker-side cache: probe token -> (shm handle, table view, kernel).
-_WORKER_STATE: dict[object, tuple] = {}
-
-#: Driver-side probe tokens — unique per shared-memory table so pool
-#: workers can cache their attachment across the dispatches of one probe
-#: and evict it when the next probe (same persistent pool) begins.
-_PROBE_TOKENS = itertools.count()
-
-
-def _attach_worker(token, shm_name, sigma, kernel):  # pragma: no cover - workers
-    """Worker-side shared-memory attachment, cached per probe token."""
-    state = _WORKER_STATE.get(token)
-    if state is None:
-        from multiprocessing import shared_memory
-
-        import numpy as np
-
-        for stale in list(_WORKER_STATE):
-            _WORKER_STATE.pop(stale)[0].close()
-        shm = shared_memory.SharedMemory(name=shm_name)
-        table = np.ndarray((sigma,), dtype=np.int64, buffer=shm.buf)
-        state = (shm, table, kernel)
-        _WORKER_STATE[token] = state
-    return state
-
-
-def _process_worker_run(payload: tuple) -> None:  # pragma: no cover - workers
-    """Run one chunk of one level inside a pool worker (``levels``
-    schedule).  ``payload`` is ``(token, shm_name, sigma, kernel, level,
-    flats)``."""
-    import numpy as np
-
-    token, shm_name, sigma, kernel, level, flats = payload
-    _, table, kernel = _attach_worker(token, shm_name, sigma, kernel)
-    kernel.update(table, np.asarray(flats, dtype=np.int64), level=level)
-
-
-def _process_tile_run(payload: tuple):  # pragma: no cover - workers
-    """Run one tile (one block × one run of levels) inside a pool worker
-    (``runs`` schedule).  ``payload`` is ``(token, shm_name, sigma,
-    kernel, start_level, chunks)``; returns ``(states, seconds)`` for
-    the driver's utilization counters."""
-    token, shm_name, sigma, kernel, start_level, chunks = payload
-    _, table, kernel = _attach_worker(token, shm_name, sigma, kernel)
-    t0 = time.perf_counter()
-    states = 0
-    for i, flats in enumerate(chunks):
-        if len(flats):
-            kernel.update(table, flats, level=start_level + i)
-            states += len(flats)
-    return states, time.perf_counter() - t0
-
-
-def _run_process_backend(
-    problem: DPProblem,
-    kernel: LevelKernel,
-    level_index: LevelIndex,
-    num_workers: int,
-    executor: Executor | None,
-    ctx: SolveContext,
-    schedule: str,
-    plan: TilePlan | None,
-) -> np.ndarray:
-    """Fill the table in shared memory with pool workers; returns a copy."""
-    from multiprocessing import shared_memory
-
-    import numpy as np
-
-    from repro.parallel.partition import round_robin_partition
-
-    sigma = problem.table_size
-    shm = shared_memory.SharedMemory(create=True, size=max(sigma * 8, 8))
-    try:
-        table = np.ndarray((sigma,), dtype=np.int64, buffer=shm.buf)
-        kernel.init_table(table)
-        owns = executor is None
-        ex = executor if executor is not None else make_executor(
-            "process", num_workers
-        )
-        token = next(_PROBE_TOKENS)
-        try:
-            if schedule == "runs":
-                def make_payload(start_level: int, chunks: list) -> tuple:
-                    return (token, shm.name, sigma, kernel, start_level, chunks)
-
-                _drive_tiles(
-                    problem, kernel, level_index, ex, ctx, plan,
-                    _process_tile_run, make_payload,
-                )
-            else:
-                for level, flats in enumerate(level_index.levels[1:], start=1):
-                    with ctx.span("level", level=level, states=len(flats)):
-                        chunks = round_robin_partition(flats, ex.num_workers)
-                        payloads = [
-                            (token, shm.name, sigma, kernel, level,
-                             np.ascontiguousarray(c))
-                            if len(c)
-                            else ()
-                            for c in chunks
-                        ]
-                        ex.map_chunks(_process_worker_run, payloads)
-                    ctx.count("levels")
-        finally:
-            if owns:
-                ex.close()
-        return table.copy()
-    finally:
-        shm.close()
-        shm.unlink()
-
-
-# ---------------------------------------------------------------------------
 # Batched (tiled) wavefront driver
 # ---------------------------------------------------------------------------
 
@@ -310,24 +177,19 @@ def _drive_tiles(
     problem: DPProblem,
     kernel: LevelKernel,
     level_index: LevelIndex,
+    table: np.ndarray,
     ex: Executor,
     ctx: SolveContext,
     plan: TilePlan | None,
-    tile_fn,
-    make_payload,
-) -> TilePlan:
-    """Execute the tile-diagonal schedule on *ex*: one ``map_chunks``
-    call (= one barrier) per diagonal, block ``b`` always on chunk slot
-    ``b`` so pooled workers keep touching the same table region.  By
-    default blocks over-decompose the table ``2 x workers`` wide
-    (:data:`_OVERDECOMPOSE`) and fold back as ``block % workers``, which
-    smooths the per-diagonal load imbalance of contiguous flat ranges.
-
-    ``tile_fn(payload)`` must return ``(states, seconds)``;
-    ``make_payload(start_level, chunks)`` builds the per-tile payload
-    (the thread path closes over the shared table, the process path
-    ships shared-memory coordinates).  Emits one ``run`` span per
-    diagonal and per-worker utilization counters at the end.
+) -> None:
+    """Fill *table* along the tile-diagonal schedule on *ex*: one
+    ``map_chunks`` call (= one barrier) per diagonal, block ``b`` always
+    on chunk slot ``b`` so pooled workers keep touching the same table
+    region.  By default blocks over-decompose the table ``2 x workers``
+    wide (:data:`_OVERDECOMPOSE`) and fold back as ``block % workers``,
+    which smooths the per-diagonal load imbalance of contiguous flat
+    ranges.  Emits one ``run`` span per diagonal and per-worker
+    utilization counters at the end.
     """
     from repro.parallel.runs import build_tiles
 
@@ -340,6 +202,17 @@ def _drive_tiles(
         [sum(len(c) for c in chunks) for chunks in per_block]
         for per_block in tiles
     ]
+
+    def run_tile(payload: tuple) -> tuple[int, float]:
+        start_level, chunks = payload
+        t0 = time.perf_counter()
+        states = 0
+        for i, flats in enumerate(chunks):
+            if len(flats):
+                kernel.update(table, flats, level=start_level + i)
+                states += len(flats)
+        return states, time.perf_counter() - t0
+
     num_worker_slots = max(1, min(ex.num_workers, plan.num_blocks))
     busy_us = [0] * num_worker_slots
     states_done = [0] * num_worker_slots
@@ -349,12 +222,12 @@ def _drive_tiles(
         span_states = 0
         for b, r in active:
             if tile_states[r][b]:
-                payloads[b] = make_payload(plan.runs[r][0], tiles[r][b])
+                payloads[b] = (plan.runs[r][0], tiles[r][b])
                 span_states += tile_states[r][b]
         with ctx.span(
             "run", diagonal=t, tiles=len(active), states=span_states
         ):
-            results = ex.map_chunks(tile_fn, payloads)
+            results = ex.map_chunks(run_tile, payloads)
         ctx.count("runs")
         for b, res in enumerate(results):
             if res is not None:
@@ -365,7 +238,6 @@ def _drive_tiles(
             ctx.record_metric(f"wavefront.worker.{b}.states", states_done[b])
             ctx.record_metric(f"wavefront.worker.{b}.busy_us", busy_us[b])
     ctx.record_metric("wavefront.diagonals", max(plan.num_diagonals, 0))
-    return plan
 
 
 def _run_simulated(
@@ -454,46 +326,14 @@ def _run_simulated(
 # Table filling (shared by parallel_dp and the test/benchmark surface)
 # ---------------------------------------------------------------------------
 
-def compute_table(
-    problem: DPProblem,
+def _check_arguments(
+    backend: str,
     num_workers: int,
-    backend: str = "serial",
-    *,
-    executor: Executor | None = None,
-    kernel: LevelKernel | None = None,
-    machine: SimulatedMachine | None = None,
-    cost_model: CostModel | None = None,
-    cost_fidelity: str = "uniform",
-    schedule: str | None = None,
-    plan: TilePlan | None = None,
-    ctx: SolveContext | None = None,
-) -> np.ndarray:
-    """Fill and return the raw wavefront DP table for ``problem``.
-
-    The returned ``int64`` array uses the
-    :data:`~repro.core.kernels.KERNEL_INFEASIBLE` sentinel; all backends
-    and both schedules return bit-identical tables.  ``executor`` lets a
-    caller own a persistent pool across many probes (serial/thread/
-    process backends); when omitted, ``ctx.executor`` is adopted (never
-    closed) if set and compatible, else a fresh executor is created and
-    closed per call.
-
-    ``schedule`` selects the wavefront granularity (:data:`SCHEDULES`):
-    ``"runs"`` (default for the executor backends) is the batched tile
-    schedule, ``"levels"`` the paper's per-anti-diagonal fan-out (and the
-    default for the simulated backend, whose existing accounting
-    consumers expect per-level traces).  ``plan`` overrides the adaptive
-    :class:`~repro.parallel.runs.TilePlan` (tests and benchmarks pin
-    block/run geometry with it).
-
-    When ``ctx`` carries a live tracer, each barrier interval is wrapped
-    in a span (``level`` or ``run``) tagged with its state count; the
-    untraced ``numpy-serial`` path keeps the fused
-    :meth:`LevelKernel.sweep` fast path.
-    """
-    from repro.core.kernels import LevelKernel
-    from repro.parallel.partition import round_robin_partition
-
+    cost_fidelity: str,
+    schedule: str | None,
+    executor: Executor | None,
+) -> None:
+    """Reject argument combinations no backend honours."""
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
@@ -508,27 +348,60 @@ def compute_table(
         raise ValueError(
             f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
         )
-    if executor is not None and backend not in EXECUTOR_BACKENDS:
+    if schedule is not None and backend != "simulated":
+        raise ValueError(
+            f"schedule= applies to the simulated backend only; "
+            f"{backend!r} has one fixed schedule"
+        )
+    if executor is not None and backend != "thread":
         raise ValueError(
             f"backend {backend!r} does not execute through an executor"
         )
+
+
+def compute_table(
+    problem: DPProblem,
+    num_workers: int,
+    backend: str = "numpy-serial",
+    *,
+    executor: Executor | None = None,
+    kernel: LevelKernel | None = None,
+    machine: SimulatedMachine | None = None,
+    cost_model: CostModel | None = None,
+    cost_fidelity: str = "uniform",
+    schedule: str | None = None,
+    plan: TilePlan | None = None,
+    ctx: SolveContext | None = None,
+) -> np.ndarray:
+    """Fill and return the raw wavefront DP table for ``problem``.
+
+    The returned ``int64`` array uses the
+    :data:`~repro.core.kernels.KERNEL_INFEASIBLE` sentinel; all backends
+    return bit-identical tables.  ``executor`` lets a caller own a
+    persistent thread pool across many probes (``thread`` backend only);
+    when omitted, a fresh one is created and closed per call.
+
+    ``schedule`` selects the granularity the ``simulated`` backend
+    models (:data:`SCHEDULES`, default ``"levels"``, whose accounting
+    consumers expect per-level traces); any other backend rejects it.
+    ``plan`` overrides the adaptive :class:`~repro.parallel.runs.TilePlan`
+    of the tile schedule (tests and benchmarks pin block/run geometry
+    with it).
+
+    When ``ctx`` carries a live tracer, each barrier interval is wrapped
+    in a span (``level`` or ``run``) tagged with its state count; the
+    untraced ``numpy-serial`` path keeps the fused
+    :meth:`LevelKernel.sweep` fast path.
+    """
+    from repro.core.kernels import LevelKernel
+
+    _check_arguments(backend, num_workers, cost_fidelity, schedule, executor)
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-    if executor is None and backend in EXECUTOR_BACKENDS:
-        executor = ctx.executor
     if kernel is None:
         kernel = LevelKernel.for_problem(problem)
     level_index = build_level_index(problem)
-    sigma = problem.table_size
-    if schedule is None:
-        schedule = "runs" if backend in EXECUTOR_BACKENDS else "levels"
+    table = kernel.allocate_table(problem.table_size)
 
-    if backend == "process":
-        return _run_process_backend(
-            problem, kernel, level_index, num_workers, executor, ctx,
-            schedule, plan,
-        )
-
-    table = kernel.allocate_table(sigma)
     if backend == "numpy-serial":
         if not ctx.tracer.enabled:
             kernel.sweep(table, level_index.levels)
@@ -542,41 +415,13 @@ def compute_table(
     if backend == "simulated":
         return _run_simulated(
             problem, kernel, level_index, table, num_workers, machine,
-            cost_model, cost_fidelity, schedule, plan, ctx,
+            cost_model, cost_fidelity, schedule or "levels", plan, ctx,
         )
 
-    # serial / thread: executor-driven chunks over the one shared table.
     owns = executor is None
-    ex = executor if executor is not None else make_executor(backend, num_workers)
+    ex = executor if executor is not None else make_executor("thread", num_workers)
     try:
-        if schedule == "runs":
-            def tile_worker(payload):
-                start_level, chunks = payload
-                t0 = time.perf_counter()
-                states = 0
-                for i, flats in enumerate(chunks):
-                    if len(flats):
-                        kernel.update(table, flats, level=start_level + i)
-                        states += len(flats)
-                return states, time.perf_counter() - t0
-
-            _drive_tiles(
-                problem, kernel, level_index, ex, ctx, plan,
-                tile_worker, lambda lo, chunks: (lo, chunks),
-            )
-        else:
-            def worker(item):
-                level, flats = item
-                kernel.update(table, flats, level=level)
-
-            for level, flats in enumerate(level_index.levels[1:], start=1):
-                with ctx.span("level", level=level, states=len(flats)):
-                    chunks = round_robin_partition(flats, ex.num_workers)
-                    ex.map_chunks(
-                        worker,
-                        [(level, c) if len(c) else () for c in chunks],
-                    )
-                ctx.count("levels")
+        _drive_tiles(problem, kernel, level_index, table, ex, ctx, plan)
     finally:
         if owns:
             ex.close()
@@ -590,7 +435,7 @@ def compute_table(
 def parallel_dp(
     problem: DPProblem,
     num_workers: int,
-    backend: str = "serial",
+    backend: str = "numpy-serial",
     *,
     limit: int | None = None,
     track_schedule: bool = True,
@@ -627,20 +472,19 @@ def parallel_dp(
         each state, which varies across a level and lets assignment
         policies (round-robin vs dynamic) be compared meaningfully.
     schedule / plan:
-        Wavefront granularity (:data:`SCHEDULES`) and an optional
-        explicit :class:`~repro.parallel.runs.TilePlan` — see
-        :func:`compute_table`.
+        The schedule the simulated backend models (:data:`SCHEDULES`)
+        and an optional explicit :class:`~repro.parallel.runs.TilePlan`
+        — see :func:`compute_table`.
     executor:
-        Externally owned executor for the serial/thread/process
-        backends.  The bisection driver passes one persistent
-        (reusable-pool) executor to every probe so pool startup is paid
-        once per solve; ``parallel_dp`` never closes an executor it did
-        not create.  When omitted, ``ctx.executor`` is adopted instead.
+        Externally owned executor for the ``thread`` backend.  The
+        bisection driver passes one persistent (reusable-pool) executor
+        to every probe so pool startup is paid once per solve;
+        ``parallel_dp`` never closes an executor it did not create.
     ctx:
         :class:`~repro.core.context.SolveContext` carrying the tracer
         (``dp`` span around the table fill, one ``level``/``run`` span
         per barrier interval, ``enumerate`` / ``backtrack`` spans around
-        the respective phases) and optionally the shared executor.
+        the respective phases).
 
     Returns
     -------
@@ -650,16 +494,7 @@ def parallel_dp(
     """
     from repro.core.kernels import LevelKernel, table_opt
 
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
-        )
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    if cost_fidelity not in ("uniform", "per_state"):
-        raise ValueError(
-            f"unknown cost_fidelity {cost_fidelity!r}; expected uniform/per_state"
-        )
+    _check_arguments(backend, num_workers, cost_fidelity, schedule, executor)
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     if not problem.counts:
         stats = (

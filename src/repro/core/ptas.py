@@ -25,7 +25,7 @@ from repro.core.bisection import (
 from repro.core.bounds import makespan_bounds
 from repro.core.context import SolveContext, resolve_context
 from repro.core.dp import DEFAULT_DP_ENGINE, DPProblem, DPResult, solve
-from repro.core.parallel_dp import BACKENDS, EXECUTOR_BACKENDS, parallel_dp
+from repro.core.parallel_dp import BACKENDS, parallel_dp
 from repro.core.rounding import accuracy_parameter, round_instance
 from repro.core.speculative import speculative_bisect
 from repro.model.instance import Instance
@@ -35,10 +35,6 @@ from repro.obs.trace import NULL_TRACER
 from repro.parallel.executor import make_executor
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import SimulatedMachine
-
-#: Backends whose probes run through a pooled executor; the driver owns
-#: one persistent (reusable) pool for the whole bisection.
-_POOLED_BACKENDS = ("thread", "process")
 
 #: Bisection modes of :func:`parallel_ptas`.
 #: ``wavefront`` — sequential bisection, every probe's DP parallelized
@@ -245,16 +241,13 @@ def _speculative_parallel_ptas(
 
     Probes run on a thread pool — the kernel releases the GIL inside
     numpy, so concurrent probes scale like the wavefront's thread
-    backend — except for ``backend="serial"``, which keeps everything on
-    the calling thread (the deterministic reference).  The tracer stays
-    on the driver thread throughout (see
+    backend.  The tracer stays on the driver thread throughout (see
     :func:`repro.core.speculative.speculative_bisect`).
     """
     k = accuracy_parameter(eps)
     cap = _effective_job_cap(k, guarantee_fix)
-    # Workers must not touch the (thread-unsafe) tracer, and must not
-    # inherit a wavefront executor: each probe is one serial DP.
-    inner_ctx = replace(ctx, tracer=NULL_TRACER, executor=None)
+    # Workers must not touch the (thread-unsafe) tracer.
+    inner_ctx = replace(ctx, tracer=NULL_TRACER)
 
     def decision_solver(problem: DPProblem, m: int) -> DPResult:
         return parallel_dp(
@@ -268,10 +261,7 @@ def _speculative_parallel_ptas(
             collect_stats=collect_stats, ctx=inner_ctx,
         )
 
-    probe_backend = "serial" if backend == "serial" else "thread"
-    executor = make_executor(
-        probe_backend, branching, reuse=probe_backend == "thread"
-    )
+    executor = make_executor("thread", branching, reuse=True)
     try:
         with ctx.span(
             "solve",
@@ -336,17 +326,16 @@ def parallel_ptas(
     num_workers:
         ``P`` — number of (real or simulated) processors.
     backend:
-        ``"serial"`` (reference), ``"numpy-serial"`` (direct kernel
-        sweep), ``"thread"`` (shared-memory threads over the vectorized
-        kernel; scales on multicore), ``"process"`` (shared-memory worker
-        processes), or ``"simulated"`` (deterministic multicore model
-        used by the speedup experiments — see DESIGN.md §6).
+        ``"numpy-serial"`` (direct kernel sweep, the reference),
+        ``"thread"`` (shared-memory threads over the vectorized kernel;
+        scales on multicore), or ``"simulated"`` (deterministic multicore
+        model used by the speedup experiments — see DESIGN.md §6).
     mode:
         Where the workers go (:data:`MODES`): ``"wavefront"`` puts them
         all inside each probe's DP; ``"speculative"`` spends them across
         ``branching`` concurrent probe targets per bisection round
-        (serial/thread/process backends only — the simulated study lives
-        in :func:`repro.core.speculative.simulate_speculative_ptas`);
+        (``thread`` backend only — the simulated study lives in
+        :func:`repro.core.speculative.simulate_speculative_ptas`);
         ``"auto"`` measures the midpoint probe's widest anti-diagonal and
         picks speculative only when it is too narrow to absorb ``P``
         workers.  Both modes certify an equally valid ``(1 + eps)``
@@ -357,13 +346,10 @@ def parallel_ptas(
         ``num_workers``.
     ctx:
         :class:`~repro.core.context.SolveContext` carrying deadline hook,
-        warm-start policy, tracer and (optionally) an externally owned
-        executor for the pooled backends — see :func:`ptas`.  When
-        ``ctx.executor`` is set the driver runs every probe on it and
-        never closes it.
+        warm-start policy and tracer — see :func:`ptas`.
 
-    For the thread and process backends the driver owns one persistent
-    reusable worker pool (``make_executor(..., reuse=True)``) that every
+    For the thread backend the driver owns one persistent reusable
+    worker pool (``make_executor(..., reuse=True)``) that every
     bisection probe's wavefront runs on, so pool startup and teardown are
     paid once per solve instead of once per probe.
 
@@ -386,14 +372,14 @@ def parallel_ptas(
             _choose_mode(
                 instance, k, num_workers, _effective_job_cap(k, guarantee_fix)
             )
-            if backend in EXECUTOR_BACKENDS
+            if backend == "thread"
             else "wavefront"
         )
     if mode == "speculative":
-        if backend not in EXECUTOR_BACKENDS:
+        if backend != "thread":
             raise ValueError(
-                f"mode='speculative' requires an executor backend "
-                f"{EXECUTOR_BACKENDS}; for the simulated study use "
+                "mode='speculative' requires the thread backend; for the "
+                "simulated study use "
                 "repro.core.speculative.simulate_speculative_ptas"
             )
         return _speculative_parallel_ptas(
@@ -411,10 +397,10 @@ def parallel_ptas(
         if backend == "simulated"
         else None
     )
-    external = ctx.executor if backend in EXECUTOR_BACKENDS else None
-    owns_executor = external is None and backend in _POOLED_BACKENDS
     executor = (
-        make_executor(backend, num_workers, reuse=True) if owns_executor else external
+        make_executor("thread", num_workers, reuse=True)
+        if backend == "thread"
+        else None
     )
 
     def solver(problem: DPProblem, m: int) -> DPResult:
@@ -461,7 +447,7 @@ def parallel_ptas(
                 )
             sp.set(makespan=schedule.makespan, final_target=outcome.final_target)
     finally:
-        if owns_executor and executor is not None:
+        if executor is not None:
             executor.close()
     return PTASResult(
         schedule=schedule,

@@ -75,7 +75,7 @@ def run_table1(num_workers: int = 4) -> Table1Result:
     entry)."""
     problem = TABLE1_PROBLEM
     seq = solve_table(problem, collect_stats=True)
-    par = parallel_dp(problem, num_workers, "serial")
+    par = parallel_dp(problem, num_workers, "thread")
     if seq.opt != par.opt:  # pragma: no cover - engine disagreement guard
         raise AssertionError("sequential and parallel DP disagree on Table I")
     # Rebuild the full grid by re-running the faithful sweep and reading
@@ -206,7 +206,7 @@ def _ratio_record(
 ) -> RatioRecord:
     from repro.workloads.families import family
 
-    par = parallel_ptas(inst, eps, num_workers=4, backend="serial")
+    par = parallel_ptas(inst, eps, num_workers=4, backend="numpy-serial")
     lpt_ms = lpt(inst).makespan
     ls_ms = list_scheduling(inst).makespan
     opt, proven = _reference_optimum(inst, ip_time_limit)

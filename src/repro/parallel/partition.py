@@ -4,15 +4,13 @@ Alg. 3 assigns the iterations of its ``parallel for`` to processors in a
 round-robin fashion: iteration ``i`` goes to processor ``i mod P``, so a
 processor executes at most ``ceil(q_l / P)`` subproblems of a level with
 ``q_l`` entries.  :func:`round_robin_partition` reproduces exactly that
-assignment; :func:`block_partition` is the contiguous alternative (same
-worst-case balance for uniform costs, better locality), used where chunk
-shipping favours contiguity.
-
-Both partitioners are numpy-aware: a level supplied as an ``ndarray``
-(how :class:`repro.core.parallel_dp.LevelIndex` stores anti-diagonals)
-is sliced into ``ndarray`` chunks — no per-element boxing into Python
-ints — so the vectorized kernel consumes index arrays end-to-end.
+assignment.  It is numpy-aware: a level supplied as an ``ndarray`` (how
+:class:`repro.core.parallel_dp.LevelIndex` stores anti-diagonals) is
+sliced into ``ndarray`` chunks — no per-element boxing into Python ints.
 Plain sequences keep the historical list-of-lists behaviour.
+
+The tile schedule's contiguous flat-index blocks
+(:func:`flat_block_bounds`, :func:`split_level_by_blocks`) live here too.
 """
 
 from __future__ import annotations
@@ -39,35 +37,6 @@ def round_robin_partition(items: Sequence[T], num_workers: int) -> list[Sequence
     if isinstance(items, np.ndarray):
         return [items[w::num_workers] for w in range(num_workers)]
     return [list(items[w::num_workers]) for w in range(num_workers)]
-
-
-def block_partition(items: Sequence[T], num_workers: int) -> list[Sequence[T]]:
-    """Split ``items`` into ``num_workers`` contiguous blocks whose sizes
-    differ by at most one.  ``ndarray`` input yields ``ndarray`` chunks.
-
-    >>> block_partition([0, 1, 2, 3, 4], 2)
-    [[0, 1, 2], [3, 4]]
-    """
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    n = len(items)
-    base, extra = divmod(n, num_workers)
-    out: list[Sequence[T]] = []
-    start = 0
-    is_array = isinstance(items, np.ndarray)
-    for w in range(num_workers):
-        size = base + (1 if w < extra else 0)
-        chunk = items[start : start + size]
-        out.append(chunk if is_array else list(chunk))
-        start += size
-    return out
-
-
-def max_chunk_size(num_items: int, num_workers: int) -> int:
-    """``ceil(q_l / P)`` — the per-processor iteration bound of Alg. 3."""
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    return -(-num_items // num_workers)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ instances nobody anticipated:
    fingerprint of :func:`repro.service.cache.canonicalize_result`.
 4. **DP-layer agreement** (:func:`dp_violations`) — at a few probe
    targets, every sequential DP engine, the top-down transcription
-   :func:`repro.core.reference._dp` and every wavefront backend and
-   schedule of :func:`repro.core.parallel_dp.parallel_dp` report the
-   same ``OPT(N)``, and every backtracked configuration list is a valid
-   packing.  This checks the layer where the engines differ, below the
-   makespan the other oracles see.
+   :func:`repro.core.reference._dp` and every wavefront backend of
+   :func:`repro.core.parallel_dp.parallel_dp` (the simulated one under
+   both schedules it models) report the same ``OPT(N)``, every
+   backtracked configuration list is a valid packing, and every
+   wavefront table is bit-identical to the ``numpy-serial`` one.  This
+   checks the layer where the engines differ, below the makespan the
+   other oracles see.
 
 Each function returns a list of :class:`Violation` records (empty =
 clean) rather than raising, so the fuzzer can collect, minimize, and
@@ -543,10 +545,15 @@ def service_equivalence_violations(
     return []
 
 
-#: Wavefront backends the DP oracle diffs (``process`` is left out: it
-#: spawns worker processes per call, too slow for a fuzz loop), and
-#: their worker count — two, so chunks of a level really split.
-DP_BACKENDS = ("numpy-serial", "serial", "thread", "simulated")
+#: ``(backend, schedule)`` wavefront subjects the DP oracle diffs: each
+#: backend once, the simulated one under both schedules it models; and
+#: their worker count — two, so the tiles of a diagonal really split.
+DP_WAVEFRONTS = (
+    ("numpy-serial", None),
+    ("thread", None),
+    ("simulated", "levels"),
+    ("simulated", "runs"),
+)
 DP_WORKERS = 2
 
 
@@ -586,18 +593,20 @@ def _witness_faults(problem, opt: int, configs: Sequence[Sequence[int]]) -> list
 
 
 def _dp_subjects(problem, *, config_ilp: bool):
-    """``(name, run)`` pairs, ``table`` first: ``run(limit)`` returns
-    ``(opt, configs)``.  The top-down ``reference`` takes no limit and
-    only ever gets ``None``."""
+    """``(name, run, fill)`` triples, ``table`` first: ``run(limit)``
+    returns ``(opt, configs)``; ``fill()`` returns the raw wavefront
+    table to diff against ``numpy-serial``'s, and is ``None`` for the
+    sequential engines and for ``numpy-serial`` itself.  The top-down
+    ``reference`` takes no limit and only ever gets ``None``."""
     from repro.core.dp import SEQUENTIAL_ENGINES, solve
-    from repro.core.parallel_dp import SCHEDULES, parallel_dp
+    from repro.core.parallel_dp import compute_table, parallel_dp
     from repro.core.reference import _dp
 
     def unpack(result):
         return result.opt, result.machine_configs
 
     subjects = [
-        (name, lambda limit, name=name: unpack(solve(problem, name, limit=limit)))
+        (name, lambda limit, name=name: unpack(solve(problem, name, limit=limit)), None)
         for name in sorted(SEQUENTIAL_ENGINES, key=lambda n: n != "table")
         if config_ilp or name != "config-ilp"
     ]
@@ -608,18 +617,38 @@ def _dp_subjects(problem, *, config_ilp: bool):
             # Per-machine lists of rounded sizes -> class-count vectors.
             return opt, [tuple(map(slot.count, problem.class_sizes)) for slot in slots]
 
-        subjects.append(("reference", top_down))
-    for backend in DP_BACKENDS:
-        for schedule in SCHEDULES:
-            subjects.append(
-                (
-                    f"parallel-{backend}/{schedule}",
-                    lambda limit, b=backend, sc=schedule: unpack(
-                        parallel_dp(problem, DP_WORKERS, b, limit=limit, schedule=sc)
-                    ),
-                )
+        subjects.append(("reference", top_down, None))
+    for backend, schedule in DP_WAVEFRONTS:
+        subjects.append(
+            (
+                f"parallel-{backend}" + (f"/{schedule}" if schedule else ""),
+                lambda limit, b=backend, sc=schedule: unpack(
+                    parallel_dp(problem, DP_WORKERS, b, limit=limit, schedule=sc)
+                ),
+                None
+                if backend == "numpy-serial"
+                else lambda b=backend, sc=schedule: compute_table(
+                    problem, DP_WORKERS, b, schedule=sc
+                ),
             )
+        )
     return subjects
+
+
+def _table_fault(table, expected) -> str | None:
+    """How *table* differs from the ``numpy-serial`` table (``None``:
+    bit-identical)."""
+    import numpy as np
+
+    if np.array_equal(table, expected):
+        return None
+    if table.shape != expected.shape:
+        return f"table shape {table.shape}, numpy-serial {expected.shape}"
+    diff = np.flatnonzero(table != expected)
+    return (
+        f"{len(diff)} of {len(expected)} entries differ from numpy-serial, "
+        f"first at flat index {int(diff[0])}"
+    )
 
 
 def dp_violations(
@@ -632,8 +661,13 @@ def dp_violations(
     (check ``opt``); every subject must return a packing that fits ``T``,
     respects the job cap and sums to ``N`` (check ``witness``) and must
     honour the bisection's decision ``limit``: ``None`` at ``OPT - 1``,
-    ``OPT`` at ``OPT`` (check ``limit``).  *config_ilp* gates the HiGHS
-    engine (a MILP per solve; the fuzzer samples it)."""
+    ``OPT`` at ``OPT`` (check ``limit``).  Every wavefront table other
+    than ``numpy-serial``'s must equal it entry for entry (check
+    ``table``), which catches a wrong entry that neither ``OPT(N)`` nor
+    the backtracked witness reads.  *config_ilp* gates the HiGHS engine
+    (a MILP per solve; the fuzzer samples it)."""
+    from repro.core.parallel_dp import compute_table
+
     violations: list[Violation] = []
     for problem in _probe_problems(instance, eps):
         label = (
@@ -641,7 +675,8 @@ def dp_violations(
             f"T={problem.target} cap={problem.job_cap}"
         )
         expected = None
-        for name, run in _dp_subjects(problem, config_ilp=config_ilp):
+        reference_table = None
+        for name, run, fill in _dp_subjects(problem, config_ilp=config_ilp):
             try:
                 opt, configs = run(None)
                 if name == "table":
@@ -651,6 +686,11 @@ def dp_violations(
                     if name == "reference" or not expected
                     else (run(expected - 1)[0], run(expected)[0])
                 )
+                table_fault = None
+                if fill is not None:
+                    if reference_table is None:
+                        reference_table = compute_table(problem, 1, "numpy-serial")
+                    table_fault = _table_fault(fill(), reference_table)
             except Exception as exc:  # noqa: BLE001 - capture, don't crash
                 violations.append(
                     Violation("dp", "error", name, f"{label}: {type(exc).__name__}: {exc}")
@@ -671,4 +711,6 @@ def dp_violations(
                         f"expected (None, {expected})",
                     )
                 )
+            if table_fault is not None:
+                violations.append(Violation("dp", "table", name, f"{label}: {table_fault}"))
     return violations

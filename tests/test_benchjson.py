@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 from repro.io.benchjson import (
     canonical_json,
@@ -116,3 +118,49 @@ class TestBenchFile:
         path = tmp_path / "BENCH.json"
         doc = update_section(path, "s", {"x": 1})
         assert doc == {"s": {"x": 1}}
+
+
+def _bench_script(name: str):
+    """Import ``benchmarks/<name>.py`` (not a package) as a module."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWavefrontSection:
+    """``bench_kernel.py`` writes exactly the runs it measured."""
+
+    SEEDED = [
+        {"backend": "process", "workers": 2, "schedule": "runs"},
+        {"backend": "thread", "workers": 2, "schedule": "runs"},
+        {"backend": "legacy-thread", "workers": 2, "schedule": "levels"},
+    ]
+
+    def test_write_keeps_no_row_of_a_retired_backend(self, tmp_path):
+        bench = _bench_script("bench_kernel")
+        path = tmp_path / "BENCH_dp.json"
+        update_section(
+            path,
+            bench.SECTION,
+            {"fingerprint": "fp", "runs": stamp_runs(self.SEEDED, "fp")},
+        )
+        bench.write_section(
+            {"fingerprint": "fp"},
+            [{"backend": "thread", "workers": 2, "schedule": "runs"}],
+            path,
+        )
+        runs = load_bench(path)[bench.SECTION]["runs"]
+        assert [(r["backend"], r["workers"], r["schedule"]) for r in runs] == [
+            ("thread", 2, "runs")
+        ]
+        assert runs[0]["fingerprint"] == "fp"
+
+    def test_check_baseline_flags_rows_of_retired_backends(self):
+        bench = _bench_script("bench_kernel")
+        failures = bench.unknown_backend_failures(
+            {"runs": stamp_runs(self.SEEDED, "fp")}
+        )
+        assert len(failures) == 1
+        assert "'process'" in failures[0]

@@ -557,6 +557,19 @@ class TestWorkersAndMode:
                 ["solve", "--times", "1,2,3", "--workers", "lots"]
             )
 
+    def test_backend_defaults_to_thread(self):
+        args = build_parser().parse_args(["solve", "--times", "1,2,3"])
+        assert args.backend == "thread"
+
+    def test_retired_backend_exits_2_listing_backends(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--times", "5,4,3", "-m", "2", "--backend", "process"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "process" in err
+        for name in ("numpy-serial", "thread", "simulated"):
+            assert name in err
+
     def test_mode_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -575,7 +588,7 @@ class TestWorkersAndMode:
                     "-a",
                     "parallel-ptas",
                     "--backend",
-                    "serial",
+                    "thread",
                     "--workers",
                     "auto",
                     "--mode",

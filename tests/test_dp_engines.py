@@ -287,7 +287,7 @@ _INVARIANT_SOLVERS = [
     if name != "config-ilp"
 ] + [
     (f"parallel-{backend}", lambda p, backend=backend: parallel_dp(p, 2, backend))
-    for backend in ("serial", "numpy-serial")
+    for backend in ("numpy-serial", "thread")
 ]
 
 

@@ -8,9 +8,7 @@ import pytest
 
 from repro.core.context import SolveContext
 from repro.parallel.executor import (
-    ProcessExecutor,
     ReusableExecutor,
-    SerialExecutor,
     ThreadExecutor,
     make_executor,
     shutdown_pools,
@@ -21,33 +19,16 @@ def square_chunk(chunk):
     return [x * x for x in chunk]
 
 
-class TestSerialExecutor:
-    def test_maps_in_order(self):
-        ex = SerialExecutor()
-        out = ex.map_chunks(square_chunk, [[1, 2], [3]])
-        assert out == [[1, 4], [9]]
-
-    def test_empty_chunks_yield_none(self):
-        ex = SerialExecutor()
-        assert ex.map_chunks(square_chunk, [[], [2], []]) == [None, [4], None]
-
-    def test_models_worker_count(self):
-        assert SerialExecutor(8).num_workers == 8
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            SerialExecutor(0)
-
-    def test_context_manager(self):
-        with SerialExecutor() as ex:
-            assert ex.map_chunks(square_chunk, [[2]]) == [[4]]
-
-
 class TestThreadExecutor:
     def test_maps_all_chunks(self):
         with ThreadExecutor(3) as ex:
             out = ex.map_chunks(square_chunk, [[1], [2], [3]])
         assert out == [[1], [4], [9]]
+
+    def test_empty_chunks_yield_none(self):
+        """An idle tile slot is an empty chunk: skipped, ``None`` back."""
+        with ThreadExecutor(2) as ex:
+            assert ex.map_chunks(square_chunk, [[], [2], ()]) == [None, [4], None]
 
     def test_shared_memory_visible(self):
         """Workers write into one shared structure — the property the
@@ -83,22 +64,7 @@ class TestThreadExecutor:
             ThreadExecutor(0)
 
 
-@pytest.mark.slow
-class TestProcessExecutor:
-    def test_maps_all_chunks(self):
-        with ProcessExecutor(2) as ex:
-            out = ex.map_chunks(square_chunk, [[1, 2], [3]])
-        assert out == [[1, 4], [9]]
-
-    def test_empty_chunk_skipped(self):
-        with ProcessExecutor(2) as ex:
-            assert ex.map_chunks(square_chunk, [[], [5]]) == [None, [25]]
-
-
 class TestFactory:
-    def test_serial(self):
-        assert isinstance(make_executor("serial", 2), SerialExecutor)
-
     def test_thread(self):
         ex = make_executor("thread", 2)
         try:
@@ -173,10 +139,6 @@ class TestReusablePools:
         ex.close()
         assert make_executor("thread", 2, reuse=True).pool is ex.pool
 
-    def test_reuse_rejects_kwargs(self):
-        with pytest.raises(TypeError, match="reusable"):
-            make_executor("serial", 2, reuse=True, extra=1)
-
     def test_shutdown_clears_cache(self):
         ex = make_executor("thread", 2, reuse=True)
         inner = ex.pool
@@ -237,23 +199,8 @@ class TestPtasPoolLifecycle:
 
 
 class TestSubmit:
-    """The pipelining primitive: ``submit`` on every executor flavor."""
-
-    def test_serial_resolves_inline(self):
-        ran = []
-
-        def fn(x):
-            ran.append(x)
-            return x + 1
-
-        future = SerialExecutor(1).submit(fn, 41)
-        assert ran == [41]  # executed eagerly, before result()
-        assert future.result() == 42
-
-    def test_serial_exception_deferred_to_result(self):
-        future = SerialExecutor(1).submit(lambda _: 1 // 0, None)
-        with pytest.raises(ZeroDivisionError):
-            future.result()
+    """The pipelining primitive: ``submit`` on the pool and its reusable
+    wrapper."""
 
     def test_thread_returns_real_future(self):
         gate = threading.Event()

@@ -59,7 +59,7 @@ def test_fuzz_full_stack_consistency(inst: Instance):
     assert seq.makespan <= 1.3 * opt + 1e-9
     assert verify_ptas_result(seq).ok
 
-    par = parallel_ptas(inst, 0.3, num_workers=4, backend="serial")
+    par = parallel_ptas(inst, 0.3, num_workers=4, backend="thread")
     assert par.schedule.assignment == seq.schedule.assignment
 
     # The literal transcription implements the *printed* algorithm
@@ -91,7 +91,7 @@ def test_fuzz_rounded_dp_engines_on_real_instances(inst: Instance):
     reference = solve(problem, "table", track_schedule=False)
     for engine in SEQUENTIAL_ENGINES:
         assert solve(problem, engine, track_schedule=False).opt == reference.opt
-    assert parallel_dp(problem, 4, "serial", track_schedule=False).opt == reference.opt
+    assert parallel_dp(problem, 4, "numpy-serial", track_schedule=False).opt == reference.opt
     assert parallel_dp(problem, 3, "thread", track_schedule=False).opt == reference.opt
 
 

@@ -88,5 +88,5 @@ class TestFixedPipelineProperties:
     @settings(max_examples=40)
     def test_property_parallel_equals_sequential_with_fix(self, inst):
         seq = ptas(inst, 0.5, engine="table")
-        par = parallel_ptas(inst, 0.5, num_workers=3, backend="serial")
+        par = parallel_ptas(inst, 0.5, num_workers=3, backend="numpy-serial")
         assert par.schedule.assignment == seq.schedule.assignment

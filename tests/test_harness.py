@@ -74,7 +74,7 @@ class TestRealBackend:
     def test_serial_backend_measures_wall_time(self):
         inst = Instance([5, 4, 3, 2, 1], num_machines=2)
         cfg = ExperimentConfig(
-            cores=(2,), parallel_backend="serial", ip_time_limit=5.0
+            cores=(2,), parallel_backend="numpy-serial", ip_time_limit=5.0
         )
         rec = run_instance(inst, cfg)
         run = rec.parallel_at(2)

@@ -1,7 +1,7 @@
 """Tests for the shared vectorized wavefront kernel (:mod:`repro.core.kernels`).
 
-The contract under test: every backend — serial, numpy-serial, thread,
-process — fills a *bit-identical* ``int64`` table (one sentinel
+The contract under test: every backend — numpy-serial, thread,
+simulated — fills a *bit-identical* ``int64`` table (one sentinel
 convention, one recurrence implementation), and the results agree with
 :func:`repro.core.dp.solve_table` including ``limit``-triggered
 infeasible probes and degenerate instances.
@@ -29,12 +29,11 @@ from repro.core.kernels import (
 )
 from repro.core.parallel_dp import compute_table, parallel_dp
 from repro.core.rounding import accuracy_parameter
-from repro.parallel.executor import make_executor, shutdown_pools
 from repro.workloads.generator import make_instance
 
 from conftest import dp_problems
 
-FAST_BACKENDS = ("serial", "numpy-serial", "thread")
+FAST_BACKENDS = ("numpy-serial", "thread")
 
 
 def reference_optional_table(problem: DPProblem) -> list[int | None]:
@@ -250,8 +249,8 @@ class TestBackendsBitIdentical:
             backend: compute_table(problem, workers, backend)
             for backend, workers in (
                 ("numpy-serial", 1),
-                ("serial", 3),
                 ("thread", 4),
+                ("simulated", 3),
             )
         }
         for backend, table in tables.items():
@@ -344,65 +343,4 @@ class TestPaperPanelTables:
     def test_thread_matches_numpy_serial(self, index):
         problem = ptas_paper_problems()[index]
         expected = compute_table(problem, 1, "numpy-serial")
-        for schedule in ("levels", "runs"):
-            table = compute_table(problem, 3, "thread", schedule=schedule)
-            assert np.array_equal(table, expected), schedule
-
-    @pytest.mark.slow
-    def test_process_matches_numpy_serial(self):
-        problems = sorted(ptas_paper_problems(), key=lambda p: p.table_size)[-2:]
-        ex = make_executor("process", 2)
-        try:
-            for problem in problems:
-                expected = compute_table(problem, 1, "numpy-serial")
-                for schedule in ("levels", "runs"):
-                    table = compute_table(
-                        problem, 2, "process", executor=ex, schedule=schedule
-                    )
-                    assert np.array_equal(table, expected), schedule
-        finally:
-            ex.close()
-
-
-@pytest.mark.slow
-class TestProcessBackendKernel:
-    """Shared-memory process workers running the same kernel."""
-
-    def test_table_bit_identical(self, paper_example_problem):
-        p = paper_example_problem
-        ref = compute_table(p, 1, "numpy-serial")
-        table = compute_table(p, 2, "process")
-        assert np.array_equal(table, ref)
-
-    def test_persistent_pool_across_probes(self):
-        """One reusable pool serves consecutive probes (different tables);
-        the pool object is identical across probes and the workers'
-        cached attachment from the first probe does not leak into the
-        second — the lifecycle the bisection driver relies on."""
-        shutdown_pools()
-        try:
-            probes = [
-                DPProblem((4, 9), (3, 2), 13),
-                DPProblem((6, 11), (2, 3), 30),
-                DPProblem((3, 5, 7), (2, 1, 2), 15),
-            ]
-            ex = make_executor("process", 2, reuse=True)
-            pool = ex.pool
-            try:
-                for problem in probes:
-                    par = parallel_dp(problem, 2, "process", executor=ex)
-                    seq = solve_table(problem)
-                    assert par.opt == seq.opt
-                    assert par.machine_configs == seq.machine_configs
-            finally:
-                ex.close()
-            # Reopening with the same shape hands back the same pool.
-            again = make_executor("process", 2, reuse=True)
-            try:
-                assert again.pool is pool
-                res = parallel_dp(probes[0], 2, "process", executor=again)
-                assert res.opt == solve_table(probes[0]).opt
-            finally:
-                again.close()
-        finally:
-            shutdown_pools()
+        assert np.array_equal(compute_table(problem, 3, "thread"), expected)

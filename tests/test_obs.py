@@ -133,7 +133,7 @@ class TestTracedSolvers:
 
     def test_all_emitted_kinds_are_in_taxonomy(self):
         tracer = Tracer()
-        parallel_ptas(INSTANCE, 0.3, 2, backend="serial", ctx=SolveContext(tracer=tracer))
+        parallel_ptas(INSTANCE, 0.3, 2, backend="thread", ctx=SolveContext(tracer=tracer))
         assert {s.kind for s in tracer.walk()} <= set(SPAN_KINDS)
 
     def test_level_spans_cover_dp_wall_time(self):

@@ -1,8 +1,9 @@
 """Tests for the wavefront Parallel DP (:mod:`repro.core.parallel_dp`).
 
 Key invariants: the level index partitions the table by anti-diagonal;
-every backend fills the table identically to the sequential sweep; the
-simulated backend's accounting is internally consistent.
+every backend fills the table identically to the sequential sweep; only
+the simulated backend takes a schedule; its accounting is internally
+consistent.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import SimulatedMachine
 
 from conftest import dp_problems
-from test_dp_engines import check_witness
-
-FAST_BACKENDS = ("serial", "thread", "simulated")
 
 
 class TestLevelIndex:
@@ -62,7 +60,7 @@ class TestLevelIndex:
 
 
 class TestBackendsAgree:
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_paper_example(self, paper_example_problem, backend, workers):
         seq = solve_table(paper_example_problem)
@@ -73,7 +71,7 @@ class TestBackendsAgree:
         assert par.machine_configs == seq.machine_configs
         assert par.engine == f"parallel-{backend}"
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_problem(self, backend):
         res = parallel_dp(DPProblem((), (), 5), 4, backend)
         assert res.opt == 0
@@ -84,18 +82,18 @@ class TestBackendsAgree:
 
     def test_invalid_workers(self, paper_example_problem):
         with pytest.raises(ValueError, match="num_workers"):
-            parallel_dp(paper_example_problem, 0, "serial")
+            parallel_dp(paper_example_problem, 0, "numpy-serial")
 
     def test_limit_semantics(self):
         p = DPProblem((7,), (4,), 10)  # OPT = 4
-        assert parallel_dp(p, 2, "serial", limit=3).opt is None
-        assert parallel_dp(p, 2, "serial", limit=4).opt == 4
+        assert parallel_dp(p, 2, "numpy-serial", limit=3).opt is None
+        assert parallel_dp(p, 2, "numpy-serial", limit=4).opt == 4
 
     @given(dp_problems())
     @settings(max_examples=40)
     def test_property_serial_backend_matches_table(self, problem: DPProblem):
         seq = solve_table(problem)
-        par = parallel_dp(problem, 3, "serial")
+        par = parallel_dp(problem, 3, "numpy-serial")
         assert par.opt == seq.opt
         assert par.machine_configs == seq.machine_configs
 
@@ -106,23 +104,6 @@ class TestBackendsAgree:
         par = parallel_dp(problem, 4, "thread")
         assert par.opt == seq.opt
         assert par.machine_configs == seq.machine_configs
-
-
-@pytest.mark.slow
-class TestProcessBackend:
-    """The shared-memory process backend (spawns real workers; slower)."""
-
-    def test_paper_example(self, paper_example_problem):
-        seq = solve_table(paper_example_problem)
-        par = parallel_dp(paper_example_problem, 2, "process")
-        assert par.opt == seq.opt
-        assert par.machine_configs == seq.machine_configs
-
-    def test_witness_valid(self):
-        p = DPProblem((4, 9), (3, 2), 13)
-        res = parallel_dp(p, 2, "process")
-        assert res.opt is not None
-        check_witness(p, res.opt, res.machine_configs)
 
 
 class TestSimulatedBackend:
@@ -162,7 +143,7 @@ class TestSimulatedBackend:
         assert machine.serial_ops == pytest.approx(2 * ops_one)
 
     def test_results_identical_to_serial(self, paper_example_problem):
-        seq = parallel_dp(paper_example_problem, 4, "serial")
+        seq = parallel_dp(paper_example_problem, 4, "numpy-serial")
         sim = parallel_dp(paper_example_problem, 4, "simulated")
         assert sim.opt == seq.opt
         assert sim.machine_configs == seq.machine_configs
@@ -170,7 +151,9 @@ class TestSimulatedBackend:
 
 class TestStats:
     def test_collect_stats(self, paper_example_problem):
-        res = parallel_dp(paper_example_problem, 2, "serial", collect_stats=True)
+        res = parallel_dp(
+            paper_example_problem, 2, "numpy-serial", collect_stats=True
+        )
         assert res.stats is not None
         assert res.stats.sigma == 12
         assert res.stats.level_sizes == (1, 2, 3, 3, 2, 1)
@@ -178,8 +161,9 @@ class TestStats:
 
 
 class TestTiledSchedule:
-    """The batched (runs) schedule: bit-identical tables, one barrier per
-    tile diagonal, per-worker utilization counters."""
+    """The batched (runs) schedule of the thread backend: bit-identical
+    tables, one barrier per tile diagonal, per-worker utilization
+    counters."""
 
     def wide_problem(self) -> DPProblem:
         return DPProblem((3, 5, 7), (3, 3, 2), 40)
@@ -197,7 +181,7 @@ class TestTiledSchedule:
             cost=KernelCostModel(alpha_seconds=1e-3, beta_seconds=1e-4),
         )
 
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", ("thread", "simulated"))
     @pytest.mark.parametrize("blocks", (2, 3, 4))
     def test_multi_block_plan_bit_identical(self, backend, blocks):
         from repro.core.parallel_dp import compute_table
@@ -206,9 +190,8 @@ class TestTiledSchedule:
         plan = self.explicit_plan(problem, blocks)
         assert plan.num_blocks == blocks  # the heavy cost model keeps B
         reference = compute_table(problem, 1, "numpy-serial")
-        table = compute_table(
-            problem, blocks, backend, schedule="runs", plan=plan
-        )
+        schedule = "runs" if backend == "simulated" else None
+        table = compute_table(problem, blocks, backend, plan=plan, schedule=schedule)
         assert (table == reference).all()
 
     def test_runs_schedule_is_default_for_executor_backends(self):
@@ -219,7 +202,7 @@ class TestTiledSchedule:
         problem = self.wide_problem()
         tracer = Tracer()
         compute_table(
-            problem, 2, "serial", ctx=SolveContext(tracer=tracer),
+            problem, 2, "thread", ctx=SolveContext(tracer=tracer),
             plan=self.explicit_plan(problem, 2),
         )
         assert tracer.find("run")
@@ -234,8 +217,7 @@ class TestTiledSchedule:
         plan = self.explicit_plan(problem, 3)
         tracer = Tracer()
         compute_table(
-            problem, 3, "serial", schedule="runs", plan=plan,
-            ctx=SolveContext(tracer=tracer),
+            problem, 3, "thread", plan=plan, ctx=SolveContext(tracer=tracer)
         )
         assert len(tracer.find("run")) == plan.num_diagonals
         assert tracer.counters["runs"] == plan.num_diagonals
@@ -249,8 +231,7 @@ class TestTiledSchedule:
         plan = self.explicit_plan(problem, 2)
         registry = MetricsRegistry()
         compute_table(
-            problem, 2, "serial", schedule="runs", plan=plan,
-            ctx=SolveContext(metrics=registry),
+            problem, 2, "thread", plan=plan, ctx=SolveContext(metrics=registry)
         )
         counters = registry.snapshot()["counters"]
         per_worker = [
@@ -272,8 +253,7 @@ class TestTiledSchedule:
         registry = MetricsRegistry()
         reference = compute_table(problem, 1, "numpy-serial")
         table = compute_table(
-            problem, 2, "serial", schedule="runs", plan=plan,
-            ctx=SolveContext(metrics=registry),
+            problem, 2, "thread", plan=plan, ctx=SolveContext(metrics=registry)
         )
         assert (table == reference).all()
         counters = registry.snapshot()["counters"]
@@ -288,7 +268,17 @@ class TestTiledSchedule:
         from repro.core.parallel_dp import compute_table
 
         with pytest.raises(ValueError, match="schedule"):
-            compute_table(self.wide_problem(), 2, "serial", schedule="zigzag")
+            compute_table(self.wide_problem(), 2, "simulated", schedule="zigzag")
+
+    @pytest.mark.parametrize("backend", ("numpy-serial", "thread"))
+    def test_schedule_is_honoured_by_simulated_only(self, backend):
+        from repro.core.parallel_dp import compute_table
+
+        for schedule in ("levels", "runs"):
+            with pytest.raises(ValueError, match="simulated backend only"):
+                compute_table(self.wide_problem(), 2, backend, schedule=schedule)
+            with pytest.raises(ValueError, match="simulated backend only"):
+                parallel_dp(DPProblem((), (), 5), 2, backend, schedule=schedule)
 
     def test_simulated_runs_speedup_monotone(self):
         from repro.core.parallel_dp import compute_table

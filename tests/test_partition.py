@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.parallel.partition import (
-    block_partition,
-    max_chunk_size,
-    round_robin_partition,
-)
+from repro.parallel.partition import round_robin_partition
 
 
 class TestRoundRobin:
@@ -38,50 +34,15 @@ class TestRoundRobin:
             round_robin_partition([1], 0)
 
 
-class TestBlock:
-    def test_basic(self):
-        assert block_partition([0, 1, 2, 3, 4], 2) == [[0, 1, 2], [3, 4]]
-
-    def test_sizes_differ_by_at_most_one(self):
-        chunks = block_partition(list(range(17)), 5)
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_preserves_order(self):
-        chunks = block_partition(list(range(9)), 4)
-        flat = [x for c in chunks for x in c]
-        assert flat == list(range(9))
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            block_partition([1], 0)
-
-
-class TestMaxChunkSize:
-    def test_exact_division(self):
-        assert max_chunk_size(12, 4) == 3
-
-    def test_ceiling(self):
-        assert max_chunk_size(13, 4) == 4
-
-    def test_zero_items(self):
-        assert max_chunk_size(0, 4) == 0
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            max_chunk_size(5, 0)
-
-
 @given(
     st.lists(st.integers(), max_size=50),
     st.integers(min_value=1, max_value=10),
 )
 def test_property_partitions_cover_items(items, workers):
-    """Both schemes partition the items exactly, and chunk sizes respect
+    """Round-robin partitions the items exactly, and chunk sizes respect
     the Alg. 3 bound ceil(q/P)."""
-    for scheme in (round_robin_partition, block_partition):
-        chunks = scheme(items, workers)
-        assert len(chunks) == workers
-        assert sorted(x for c in chunks for x in c) == sorted(items)
-        bound = max_chunk_size(len(items), workers)
-        assert all(len(c) <= bound for c in chunks)
+    chunks = round_robin_partition(items, workers)
+    assert len(chunks) == workers
+    assert sorted(x for c in chunks for x in c) == sorted(items)
+    bound = -(-len(items) // workers)
+    assert all(len(c) <= bound for c in chunks)

@@ -70,10 +70,10 @@ def test_ptas_within_bounds_without_oracle(inst: Instance):
 @given(medium_instances(max_jobs=20, max_machines=5, max_time=30))
 @settings(max_examples=20)
 def test_parallel_ptas_deterministic_across_backends(inst: Instance):
-    """serial / thread / simulated backends and any worker count produce
-    byte-identical schedules."""
-    reference = parallel_ptas(inst, 0.3, num_workers=1, backend="serial")
-    for backend, workers in (("serial", 4), ("thread", 2), ("simulated", 8)):
+    """numpy-serial / thread / simulated backends and any worker count
+    produce byte-identical schedules."""
+    reference = parallel_ptas(inst, 0.3, num_workers=1, backend="numpy-serial")
+    for backend, workers in (("numpy-serial", 4), ("thread", 2), ("simulated", 8)):
         other = parallel_ptas(inst, 0.3, num_workers=workers, backend=backend)
         assert other.schedule.assignment == reference.schedule.assignment
 
@@ -111,7 +111,7 @@ def test_parallel_dp_equals_sequential_on_rounded_instances(inst: Instance):
     r = round_instance(inst, target, 4)
     problem = DPProblem(r.class_sizes, r.class_counts, target)
     seq = solve(problem, "table")
-    par = parallel_dp(problem, 3, "serial")
+    par = parallel_dp(problem, 3, "thread")
     assert par.opt == seq.opt
     assert par.machine_configs == seq.machine_configs
 

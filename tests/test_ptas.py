@@ -81,7 +81,7 @@ class TestSequentialPTAS:
 
 
 class TestParallelPTAS:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "simulated"])
+    @pytest.mark.parametrize("backend", ["numpy-serial", "thread", "simulated"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_identical_to_sequential(self, small_instance, backend, workers):
         """The paper's core property: the parallel algorithm returns the
@@ -101,19 +101,13 @@ class TestParallelPTAS:
         assert par.machine.num_processors == 4
 
     def test_non_simulated_has_no_machine(self, small_instance):
-        par = parallel_ptas(small_instance, 0.3, num_workers=2, backend="serial")
+        par = parallel_ptas(small_instance, 0.3, num_workers=2, backend="thread")
         assert par.machine is None
         assert par.simulated_speedup is None
 
     def test_rejects_unknown_backend(self, small_instance):
         with pytest.raises(ValueError, match="unknown backend"):
             parallel_ptas(small_instance, 0.3, num_workers=2, backend="mpi")
-
-    @pytest.mark.slow
-    def test_process_backend_identical(self, small_instance):
-        seq = ptas(small_instance, 0.3, engine="table")
-        par = parallel_ptas(small_instance, 0.3, num_workers=2, backend="process")
-        assert par.schedule.assignment == seq.schedule.assignment
 
 
 class TestGuarantee:
@@ -145,7 +139,7 @@ class TestGuarantee:
     @settings(max_examples=30)
     def test_property_parallel_equals_sequential(self, inst: Instance):
         seq = ptas(inst, 0.3, engine="table")
-        par = parallel_ptas(inst, 0.3, num_workers=3, backend="serial")
+        par = parallel_ptas(inst, 0.3, num_workers=3, backend="thread")
         assert par.schedule.assignment == seq.schedule.assignment
 
     @given(small_instances())
@@ -203,7 +197,7 @@ class TestCheckDeadline:
                 small_instance,
                 eps=0.05,
                 num_workers=2,
-                backend="serial",
+                backend="thread",
                 ctx=SolveContext(check_deadline=check),
             )
 
@@ -214,7 +208,7 @@ class TestBisectionModes:
     def test_speculative_same_target_as_sequential(self, small_instance):
         seq = ptas(small_instance, 0.3, engine="table")
         spec = parallel_ptas(
-            small_instance, 0.3, num_workers=3, backend="serial",
+            small_instance, 0.3, num_workers=3, backend="thread",
             mode="speculative",
         )
         assert spec.mode == "speculative"
@@ -230,26 +224,28 @@ class TestBisectionModes:
         assert spec.final_target == seq.final_target
 
     def test_wavefront_is_default_mode(self, small_instance):
-        result = parallel_ptas(small_instance, 0.3, num_workers=2, backend="serial")
+        result = parallel_ptas(
+            small_instance, 0.3, num_workers=2, backend="numpy-serial"
+        )
         assert result.mode == "wavefront"
 
     def test_auto_resolves_to_a_concrete_mode(self, small_instance):
         seq = ptas(small_instance, 0.3, engine="table")
         result = parallel_ptas(
-            small_instance, 0.3, num_workers=2, backend="serial", mode="auto"
+            small_instance, 0.3, num_workers=2, backend="thread", mode="auto"
         )
         assert result.mode in ("wavefront", "speculative")
         assert result.final_target == seq.final_target
 
     def test_auto_on_single_worker_stays_wavefront(self, small_instance):
         result = parallel_ptas(
-            small_instance, 0.3, num_workers=1, backend="serial", mode="auto"
+            small_instance, 0.3, num_workers=1, backend="thread", mode="auto"
         )
         assert result.mode == "wavefront"
 
     def test_speculative_guarantee_holds(self, small_instance):
         spec = parallel_ptas(
-            small_instance, 0.5, num_workers=3, backend="serial",
+            small_instance, 0.5, num_workers=3, backend="thread",
             mode="speculative",
         )
         opt = brute_force(small_instance).makespan
@@ -262,7 +258,7 @@ class TestBisectionModes:
         inst = Instance([97, 83, 51, 42, 38, 21, 13, 8, 5, 3], num_machines=3)
         tracer = Tracer()
         parallel_ptas(
-            inst, 0.3, num_workers=3, backend="serial", mode="speculative",
+            inst, 0.3, num_workers=3, backend="thread", mode="speculative",
             ctx=SolveContext(tracer=tracer, warm_start=False),
         )
         rounds = tracer.find("spec_round")
@@ -272,13 +268,14 @@ class TestBisectionModes:
     def test_rejects_unknown_mode(self, small_instance):
         with pytest.raises(ValueError, match="mode"):
             parallel_ptas(
-                small_instance, 0.3, num_workers=2, backend="serial",
+                small_instance, 0.3, num_workers=2, backend="numpy-serial",
                 mode="pessimistic",
             )
 
     def test_speculative_rejects_non_executor_backend(self, small_instance):
-        with pytest.raises(ValueError, match="simulate_speculative_ptas"):
-            parallel_ptas(
-                small_instance, 0.3, num_workers=2, backend="simulated",
-                mode="speculative",
-            )
+        for backend in ("numpy-serial", "simulated"):
+            with pytest.raises(ValueError, match="simulate_speculative_ptas"):
+                parallel_ptas(
+                    small_instance, 0.3, num_workers=2, backend=backend,
+                    mode="speculative",
+                )

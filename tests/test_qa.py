@@ -248,6 +248,29 @@ class TestOracles:
         assert violations
         assert {(v.engine, v.check) for v in violations} == {("numpy", check)}
 
+    def test_dp_catches_a_corrupted_wavefront_table(self, monkeypatch):
+        """One wrong non-final entry of the thread backend's table leaves
+        OPT(N), the witness and the limit intact: only ``table`` sees it."""
+        import importlib
+
+        pdp = importlib.import_module("repro.core.parallel_dp")
+        honest = pdp._drive_tiles
+
+        def corrupting(problem, kernel, level_index, table, *args):
+            honest(problem, kernel, level_index, table, *args)
+            # A non-final state whose OPT already reaches OPT(N) is on no
+            # backtrack path down from N, so raising it changes no answer.
+            unread = np.flatnonzero(table[:-1] >= table[-1])
+            if len(unread):
+                table[unread[0]] += 1
+
+        monkeypatch.setattr(pdp, "_drive_tiles", corrupting)
+        violations = dp_violations(Instance([19, 17, 16, 12, 11, 9], 2), 0.3)
+        assert violations
+        assert {(v.engine, v.check) for v in violations} == {
+            ("parallel-thread", "table")
+        }
+
 
 class TestFuzzer:
     def test_draw_case_is_deterministic(self):

@@ -65,7 +65,7 @@ class TestSolveAdapters:
         "engine", ["ptas", "parallel_ptas", "lpt", "ls", "multifit", "bnb"]
     )
     def test_produces_valid_schedule(self, engine):
-        req = _request(engine, workers=2, backend="serial")
+        req = _request(engine, workers=2, backend="numpy-serial")
         inst = req.instance()
         schedule = get_engine(engine).solve(inst, req, None)
         assert verify_schedule(schedule, inst).ok
@@ -89,7 +89,7 @@ class TestBisectionModes:
             times=(9, 8, 7, 6, 5, 5, 4, 3, 2, 1),
             machines=3,
             engine="parallel_ptas",
-            backend="serial",
+            backend="thread",
             **kwargs,
         )
 

@@ -480,6 +480,34 @@ class TestFailureEnvelope:
         assert res.status == "error" and res.request_id == "b29"
         assert "brute force limited to 18 jobs" in res.error
 
+    def test_retired_backend_is_answered_over_tcp(self):
+        """A wire request for a backend the wavefront no longer has gets
+        the registry's unknown-backend error naming the ones it has."""
+        from repro.core.parallel_dp import BACKENDS
+
+        async def scenario():
+            svc = SolveService()
+            server = await start_server(svc, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await submit(
+                    "127.0.0.1",
+                    port,
+                    _req(
+                        [9, 8, 7, 6, 5], engine="parallel-ptas",
+                        backend="process", request_id="p1",
+                    ),
+                    timeout=10.0,
+                )
+            finally:
+                await _closed(svc, server)
+
+        res = run(scenario())
+        assert res.status == "error" and res.request_id == "p1"
+        assert "unknown wavefront backend 'process'" in res.error
+        assert str(sorted(BACKENDS)) in res.error
+        assert sorted(BACKENDS) == ["numpy-serial", "simulated", "thread"]
+
     def test_engine_error_aborts_its_journal_entry(self, tmp_path):
         from repro.store import ResultStore, WriteAheadJournal
 
@@ -605,7 +633,7 @@ class TestEndToEnd:
             requests.append(
                 _req(times, machines=3, engine="ptas", request_id=f"ptas-{i}")
             )
-        # 2) Parallel PTAS on both pooled and serial wavefront backends.
+        # 2) Parallel PTAS on both the pooled and the serial wavefront backend.
         for i in range(8):
             times = [rng.randint(1, 30) for _ in range(10)]
             requests.append(
@@ -613,7 +641,7 @@ class TestEndToEnd:
                     times,
                     machines=3,
                     engine="parallel-ptas",
-                    backend="thread" if i % 2 else "serial",
+                    backend="thread" if i % 2 else "numpy-serial",
                     workers=2,
                     request_id=f"par-{i}",
                 )

@@ -148,17 +148,18 @@ class TestConcurrentProbes:
         assert spec.dp_result.opt == standard.dp_result.opt
 
     def test_decision_solver_with_pipelined_certification(self, small_instance):
-        from repro.parallel.executor import SerialExecutor
+        from repro.parallel.executor import ThreadExecutor
 
         standard = bisect_target_makespan(small_instance, 4, solver)
-        spec = speculative_bisect(
-            small_instance,
-            4,
-            solver,
-            branching=3,
-            executor=SerialExecutor(3),
-            decision_solver=self.decision_solver,
-        )
+        with ThreadExecutor(3) as ex:
+            spec = speculative_bisect(
+                small_instance,
+                4,
+                solver,
+                branching=3,
+                executor=ex,
+                decision_solver=self.decision_solver,
+            )
         assert spec.final_target == standard.final_target
         # Certification ran the full solver: the witness is present.
         assert spec.dp_result.machine_configs
@@ -166,17 +167,18 @@ class TestConcurrentProbes:
     @given(small_instances(), st.integers(min_value=1, max_value=5))
     @settings(max_examples=25)
     def test_property_executor_equivalent_to_plain(self, inst, branching):
-        from repro.parallel.executor import SerialExecutor
+        from repro.parallel.executor import ThreadExecutor
 
         plain = speculative_bisect(inst, 3, solver, branching=branching)
-        pooled = speculative_bisect(
-            inst,
-            3,
-            solver,
-            branching=branching,
-            executor=SerialExecutor(branching),
-            decision_solver=self.decision_solver,
-        )
+        with ThreadExecutor(branching) as ex:
+            pooled = speculative_bisect(
+                inst,
+                3,
+                solver,
+                branching=branching,
+                executor=ex,
+                decision_solver=self.decision_solver,
+            )
         assert pooled.final_target == plain.final_target
 
     def test_win_waste_counters_recorded(self):
